@@ -121,9 +121,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"aws",
 		":m5",
 		"aws:",
-		"AWS:m5",          // uppercase: one spelling per catalog
-		"aws:m5:zone",     // not key=value
-		"aws:m5:zone=0",   // zone count must be ≥ 1
+		"AWS:m5",        // uppercase: one spelling per catalog
+		"aws:m5:zone",   // not key=value
+		"aws:m5:zone=0", // zone count must be ≥ 1
 		"aws:m5:zone=-1",
 		"aws:m5:zone=x",
 		"aws:m5:spot=1.5", // fraction outside [0,1]

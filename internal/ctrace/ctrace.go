@@ -17,8 +17,8 @@
 // telemetry's.
 //
 // The reader is streaming by contract: it holds the open-pod table (one
-// small entry per live job) and the current-timestamp submit groups,
-// never the file. Replaying a multi-day, multi-million-pod trace costs
+// small entry per live job), the current-timestamp submit groups and a
+// fixed number of parse-ahead batches, never the file. Replaying a multi-day, multi-million-pod trace costs
 // memory proportional to the number of *concurrently live* pods, not to
 // the file size.
 //

@@ -104,10 +104,11 @@ type instanceRow struct {
 	} `json:"resource_request"`
 }
 
-// consumeInstance translates one instance_events row into the shared
-// task-level state machine (apply) behind the same rawRow the CSV
-// parser produces.
-func (r *Reader) consumeInstance(line []byte) error {
+// parseInstanceRow translates one instance_events row into the rawRow
+// the CSV parser produces, for the shared task-level state machine
+// (apply). The collection id and user are appended to block, which the
+// row's byte fields then alias.
+func parseInstanceRow(line []byte, block *[]byte, raw *rawRow) error {
 	var row instanceRow
 	if err := json.Unmarshal(line, &row); err != nil {
 		return badf("instance_events: %v", err)
@@ -118,7 +119,7 @@ func (r *Reader) consumeInstance(line []byte) error {
 	if row.Instance < 0 {
 		return badf("instance_events: negative instance_index %d", int64(row.Instance))
 	}
-	raw := rawRow{
+	*raw = rawRow{
 		us:   int64(row.Time),
 		task: int(row.Instance),
 		cpu:  float64(row.Request.CPUs),
@@ -136,10 +137,11 @@ func (r *Reader) consumeInstance(line []byte) error {
 	default:
 		return badf("instance_events: type %d outside the 2019 v3 code set 0-10", int64(row.Type))
 	}
-	// The collection id formats into a reused scratch buffer; apply
-	// copies it only when a new job starts.
-	r.scratch = strconv.AppendInt(r.scratch[:0], int64(row.Coll), 10)
-	raw.job = r.scratch
-	raw.user = []byte(row.User)
-	return r.apply(raw)
+	at := len(*block)
+	*block = strconv.AppendInt(*block, int64(row.Coll), 10)
+	raw.job = (*block)[at:]
+	at = len(*block)
+	*block = append(*block, row.User...)
+	raw.user = (*block)[at:]
+	return nil
 }

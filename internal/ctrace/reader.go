@@ -5,11 +5,11 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 	"unsafe"
@@ -59,17 +59,22 @@ type jobState struct {
 
 // Reader streams normalized events out of a trace file. Memory is
 // bounded by the number of concurrently live pods (the open-pod table
-// and the current-timestamp submit groups), never by file size. The
-// row loop is allocation-free outside the data that escapes into
-// events: parsing works on the scanner's byte buffer in place, job
-// states are pooled, user names are interned once per tenant, and the
-// emission queue's backing array is reused across flushes.
+// and the current-timestamp submit groups) plus a fixed number of
+// parse-ahead batches, never by file size.
+//
+// Decoding runs in two stages (see parse.go). The first Next starts a
+// producer goroutine that owns the scanner from then on and parses rows
+// into pooled batches; Next applies those rows in file order. The apply
+// loop is allocation-free outside the data that escapes into events:
+// job states are pooled, user names are interned once per tenant, and
+// the emission queue's backing array is reused across flushes.
 type Reader struct {
 	opts    Options
-	sc      *bufio.Scanner
-	mode    int
-	line    int
-	lastUS  int64 // last accepted row timestamp (order validation)
+	p       *parser
+	running bool   // the producer has been started
+	cur     *batch // batch being applied; nil before the first Next
+	pos     int    // next row of cur
+	lastUS  int64  // last accepted row timestamp (order validation)
 	started bool
 
 	// CSV submit coalescing: jobs whose SUBMIT rows are accumulating at
@@ -79,6 +84,7 @@ type Reader struct {
 	order []*jobState
 	jobs  map[string]*jobState
 	free  []*jobState
+	last  *jobState         // the entry the previous task row found (see lookup)
 	users map[string]string // interned tenant names
 
 	// ready is the emission queue (flushes can release several events at
@@ -86,11 +92,13 @@ type Reader struct {
 	ready     []Event
 	readyHead int
 
-	scratch []byte // per-row key formatting (instance_events)
 	stats   Stats
 	err     error // sticky terminal error
 	closers []io.Closer
 }
+
+// errClosed is what Next returns after Close ended the stream early.
+var errClosed = errors.New("ctrace: reader closed")
 
 // Open opens a trace file for streaming. Gzip compression and the
 // CSV/JSONL format are sniffed from the content, not the name.
@@ -108,7 +116,8 @@ func Open(path string, opts Options) (*Reader, error) {
 	return r, nil
 }
 
-// NewReader wraps an arbitrary stream. See Open for file paths.
+// NewReader wraps an arbitrary stream. See Open for file paths. It
+// starts no goroutine: the parse-ahead stage starts on the first Next.
 func NewReader(src io.Reader, opts Options) (*Reader, error) {
 	br := bufio.NewReader(src)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
@@ -118,23 +127,30 @@ func NewReader(src io.Reader, opts Options) (*Reader, error) {
 		}
 		br = bufio.NewReader(gz)
 	}
-	r := &Reader{
-		opts:  opts,
-		mode:  modeCSV,
-		jobs:  map[string]*jobState{},
-		users: map[string]string{},
-	}
+	p := &parser{sc: bufio.NewScanner(br), mode: modeCSV, lenient: opts.Lenient}
 	// Format sniff: the first non-space byte of a JSONL trace is '{'.
 	if first, err := br.Peek(1); err == nil && (first[0] == '{' || first[0] == '[') {
-		r.mode = modeJSONSniff
+		p.mode = modeJSONSniff
 	}
-	r.sc = bufio.NewScanner(br)
-	r.sc.Buffer(make([]byte, 0, 64<<10), maxLine)
-	return r, nil
+	return &Reader{
+		opts:  opts,
+		p:     p,
+		jobs:  map[string]*jobState{},
+		users: map[string]string{},
+	}, nil
 }
 
-// Close releases the underlying file (if Open was used).
+// Close stops the parse-ahead stage, waits for it to exit and releases
+// the underlying file (if Open was used). A Reader abandoned before
+// io.EOF or its first error must be closed to release that goroutine.
+// Next returns an error after Close unless the stream had already
+// ended.
 func (r *Reader) Close() error {
+	r.stop()
+	if r.err == nil {
+		r.err = errClosed
+	}
+	r.ready, r.readyHead, r.cur = r.ready[:0], 0, nil
 	var err error
 	for i := len(r.closers) - 1; i >= 0; i-- {
 		if cerr := r.closers[i].Close(); err == nil {
@@ -142,7 +158,17 @@ func (r *Reader) Close() error {
 		}
 	}
 	r.closers = nil
+	if r.running {
+		<-r.p.exited
+	}
 	return err
+}
+
+// stop tells the producer to exit at its next hand-off. Idempotent.
+func (r *Reader) stop() {
+	if r.running {
+		r.p.stopOnce.Do(func() { close(r.p.done) })
+	}
 }
 
 // Stats reports consumption counters (complete once Next returned
@@ -166,48 +192,59 @@ func (r *Reader) Next() (Event, error) {
 		if r.err != nil {
 			return Event{}, r.err
 		}
-		if !r.sc.Scan() {
-			if err := r.sc.Err(); err != nil {
-				r.err = fmt.Errorf("ctrace: line %d: %w", r.line+1, err)
-			} else {
-				r.flushSubmits()
-				r.err = io.EOF
-			}
+		if r.cur == nil || r.pos == len(r.cur.rows) {
+			r.refill()
 			continue
 		}
-		r.line++
-		line := bytes.TrimSpace(r.sc.Bytes())
-		if len(line) == 0 || line[0] == '#' || (r.mode == modeCSV && string(line) == header) {
-			continue
-		}
+		rw := &r.cur.rows[r.pos]
+		r.pos++
 		r.stats.Rows++
-		if err := r.consume(line); err != nil {
+		err := rw.err
+		if err == nil {
+			err = r.applyRow(r.cur.mode, rw)
+		}
+		if err != nil {
 			if r.opts.Lenient {
 				r.stats.Skipped++
 				continue
 			}
-			r.err = fmt.Errorf("ctrace: line %d: %w", r.line, err)
+			r.err = fmt.Errorf("ctrace: line %d: %w", rw.line, err)
+			r.stop()
 		}
 	}
 }
 
-// consume parses and applies one physical line. line aliases the
-// scanner's buffer and is only valid for this call.
-func (r *Reader) consume(line []byte) error {
-	if r.mode == modeJSONSniff {
-		if bytes.Contains(line, instanceSniff) {
-			r.mode = modeInstance
-		} else {
-			r.mode = modeJSONL
+// refill recycles the drained batch and takes the next one from the
+// producer, starting it on first use. The last batch of a stream ends
+// it: at io.EOF the final submit groups flush.
+func (r *Reader) refill() {
+	if b := r.cur; b != nil {
+		r.cur = nil
+		end, line := b.end, b.endLine
+		putBatch(b)
+		switch {
+		case end == io.EOF:
+			r.flushSubmits()
+			r.err = io.EOF
+			return
+		case end != nil:
+			r.err = fmt.Errorf("ctrace: line %d: %w", line, end)
+			return
 		}
 	}
-	switch r.mode {
-	case modeJSONL:
-		return r.consumeJSON(line)
-	case modeInstance:
-		return r.consumeInstance(line)
+	if !r.running {
+		r.running = true
+		r.p.start()
 	}
-	return r.consumeCSV(line)
+	r.cur, r.pos = <-r.p.out, 0
+}
+
+// applyRow applies one parsed row through its format's state machine.
+func (r *Reader) applyRow(mode int, rw *row) error {
+	if mode == modeJSONL {
+		return r.applyJSON(rw.json, rw.kind)
+	}
+	return r.apply(&rw.raw)
 }
 
 // badf builds a row-level validation error.
@@ -274,6 +311,20 @@ func (r *Reader) intern(user []byte) string {
 	return u
 }
 
+// lookup finds a job's open-pod entry. A pod's task rows sit next to
+// each other in a trace, so the entry the previous row found is tried
+// before the map; last is always nil or an entry still in jobs.
+func (r *Reader) lookup(job []byte) *jobState {
+	if js := r.last; js != nil && js.id == string(job) {
+		return js
+	}
+	js := r.jobs[string(job)] // no-alloc map probe
+	if js != nil {
+		r.last = js
+	}
+	return js
+}
+
 // takeJob pops a pooled entry (zeroed by emitEnd when recycled).
 func (r *Reader) takeJob() *jobState {
 	if n := len(r.free); n > 0 {
@@ -305,7 +356,7 @@ type csvRow struct {
 }
 
 // rawRow is the zero-copy parse of one task-level row. job and user
-// alias the scanner's buffer: copy or intern them before the next line.
+// alias a batch block: copy or intern them before the batch recycles.
 type rawRow struct {
 	us       int64
 	code     int
@@ -315,96 +366,11 @@ type rawRow struct {
 	cpu, mem float64
 }
 
-// Symbolic CSV event names (folded case, no per-row conversion).
-var (
-	evSubmit = []byte("submit")
-	evFinish = []byte("finish")
-	evKill   = []byte("kill")
-)
-
-// parseCSVLine parses (without applying) one CSV row. It is the CSV
-// half of the fuzz surface.
-func parseCSVLine(line string) (csvRow, error) {
-	raw, err := parseCSVRow([]byte(line))
-	if err != nil {
-		return csvRow{}, err
-	}
-	return csvRow{
-		us: raw.us, code: raw.code, job: string(raw.job),
-		task: raw.task, user: string(raw.user), cpu: raw.cpu, mem: raw.mem,
-	}, nil
-}
-
-// parseCSVRow parses one CSV row in place over the scanner's buffer.
-func parseCSVRow(line []byte) (rawRow, error) {
-	var row rawRow
-	var f [7][]byte
-	rest := line
-	for i := 0; i < 6; i++ {
-		j := bytes.IndexByte(rest, ',')
-		if j < 0 {
-			return row, badf("want 7 fields time_us,event,job,task,user,cpu,mem; got %d", i+1)
-		}
-		f[i] = bytes.TrimSpace(rest[:j])
-		rest = rest[j+1:]
-	}
-	if bytes.IndexByte(rest, ',') >= 0 {
-		return row, badf("want 7 fields time_us,event,job,task,user,cpu,mem; got %d", 8+bytes.Count(rest, []byte{','}))
-	}
-	f[6] = bytes.TrimSpace(rest)
-
-	us, err := strconv.ParseInt(bstr(f[0]), 10, 64)
-	if err != nil {
-		return row, badf("time_us: %v", err)
-	}
-	row.us = us
-	switch {
-	case bytes.EqualFold(f[1], evSubmit):
-		row.code = 0
-	case bytes.EqualFold(f[1], evFinish):
-		row.code = 4
-	case bytes.EqualFold(f[1], evKill):
-		row.code = 5
-	default:
-		code, err := strconv.Atoi(bstr(f[1]))
-		if err != nil || code < 0 || code > 8 {
-			return row, badf("event %q is neither a Google code 0-8 nor submit/finish/kill", f[1])
-		}
-		row.code = code
-	}
-	row.job = f[2]
-	if len(row.job) == 0 {
-		return row, badf("empty job id")
-	}
-	task, err := strconv.Atoi(bstr(f[3]))
-	if err != nil || task < 0 {
-		return row, badf("task index %q is not a non-negative integer", f[3])
-	}
-	row.task = task
-	row.user = f[4]
-	if row.cpu, err = strconv.ParseFloat(bstr(f[5]), 64); err != nil {
-		return row, badf("cpu: %v", err)
-	}
-	if row.mem, err = strconv.ParseFloat(bstr(f[6]), 64); err != nil {
-		return row, badf("mem: %v", err)
-	}
-	return row, nil
-}
-
-// consumeCSV applies one task-level row.
-func (r *Reader) consumeCSV(line []byte) error {
-	row, err := parseCSVRow(line)
-	if err != nil {
-		return err
-	}
-	return r.apply(row)
-}
-
 // apply is the task-level lifecycle state machine shared by the CSV
 // format and the instance_events adapter: submits coalesce into pod
 // submit groups, task ends decrement the job's live count and emit the
 // pod end when it empties.
-func (r *Reader) apply(row rawRow) error {
+func (r *Reader) apply(row *rawRow) error {
 	if err := r.checkTime(row.us); err != nil {
 		return err
 	}
@@ -420,7 +386,7 @@ func (r *Reader) apply(row rawRow) error {
 		if err := checkRequest("mem", row.mem); err != nil {
 			return err
 		}
-		js := r.jobs[string(row.job)] // no-alloc map probe
+		js := r.lookup(row.job)
 		if js != nil && !js.building {
 			return badf("job %s submitted while already live", row.job)
 		}
@@ -434,6 +400,7 @@ func (r *Reader) apply(row rawRow) error {
 			js = r.newJob(row.job, row.user)
 			r.jobs[js.id] = js
 			r.order = append(r.order, js)
+			r.last = js
 		}
 		js.ctrs = append(js.ctrs, trace.Container{CPU: row.cpu, Mem: row.mem})
 		return nil
@@ -442,7 +409,7 @@ func (r *Reader) apply(row rawRow) error {
 		// submit instant itself closes the same-instant groups explicitly
 		// so the submit event precedes its own end.
 		r.accept(row.us)
-		js := r.jobs[string(row.job)]
+		js := r.lookup(row.job)
 		if js == nil {
 			return badf("end event for unknown job %s", row.job)
 		}
@@ -517,12 +484,8 @@ func parseJSONRow(line []byte) (jsonRow, EventKind, error) {
 	return row, kind, nil
 }
 
-// consumeJSON applies one pod-level row.
-func (r *Reader) consumeJSON(line []byte) error {
-	row, kind, err := parseJSONRow(line)
-	if err != nil {
-		return err
-	}
+// applyJSON applies one parsed pod-level row.
+func (r *Reader) applyJSON(row *jsonRow, kind EventKind) error {
 	if err := r.checkTime(row.US); err != nil {
 		return err
 	}
@@ -596,6 +559,9 @@ func (r *Reader) emitEnd(us int64, kind EventKind, js *jobState) {
 		Time: time.Duration(us) * time.Microsecond, Kind: kind, Pod: js.id, User: js.user,
 	})
 	delete(r.jobs, js.id)
+	if r.last == js {
+		r.last = nil
+	}
 	*js = jobState{}
 	r.free = append(r.free, js)
 }

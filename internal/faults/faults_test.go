@@ -453,8 +453,8 @@ func TestHasPointPrefix(t *testing.T) {
 	}{
 		{"spot/node-3:crash", "spot/", true},
 		{"spot/*:crash:p=0.02", "spot/", true},
-		{"sp*:crash", "spot/", true},     // wildcard shorter than prefix
-		{"*:fail:p=0.1", "spot/", true},  // bare star covers everything
+		{"sp*:crash", "spot/", true},    // wildcard shorter than prefix
+		{"*:fail:p=0.1", "spot/", true}, // bare star covers everything
 		{"zone/*:crash", "spot/", false},
 		{"qmp/device_add:fail", "spot/", false},
 		{"spotless:fail", "spot", true}, // prefix match is textual
