@@ -60,10 +60,15 @@ type Usage struct {
 
 // Add accumulates d into category c. Negative durations are ignored.
 func (u *Usage) Add(c Category, d time.Duration) {
-	if d <= 0 || c < 0 || c >= numCategories {
+	if !billable(c, d) {
 		return
 	}
 	u.byCat[c] += d
+}
+
+// billable reports whether a charge of d in category c records anything.
+func billable(c Category, d time.Duration) bool {
+	return d > 0 && c >= 0 && c < numCategories
 }
 
 // Of returns the accumulated time in category c.
@@ -142,21 +147,34 @@ func (u Usage) String() string {
 // The zero value is NOT ready to use; call New.
 type Accountant struct {
 	usages map[string]*Usage
+	// gen identifies the current usages map; Reset bumps it so that
+	// Billers resolved against the old map re-resolve. It starts at 1,
+	// so a Biller's zero gen always means "not resolved yet".
+	gen uint64
 }
 
 // New returns an empty accountant.
 func New() *Accountant {
-	return &Accountant{usages: make(map[string]*Usage)}
+	return &Accountant{usages: make(map[string]*Usage), gen: 1}
 }
 
-// Record bills d of category c to entity.
+// Record bills d of category c to entity. A charge that records nothing
+// (d <= 0 or an unknown category) creates no entity.
 func (a *Accountant) Record(entity string, c Category, d time.Duration) {
+	if !billable(c, d) {
+		return
+	}
+	a.usage(entity).byCat[c] += d
+}
+
+// usage returns the entity's live usage cell, creating it.
+func (a *Accountant) usage(entity string) *Usage {
 	u, ok := a.usages[entity]
 	if !ok {
 		u = &Usage{}
 		a.usages[entity] = u
 	}
-	u.Add(c, d)
+	return u
 }
 
 // Usage returns a copy of the entity's accumulated usage. Unknown
@@ -190,7 +208,50 @@ func (a *Accountant) TotalFor(prefix string) Usage {
 	return total
 }
 
-// Reset clears all recorded usage.
+// Reset clears all recorded usage. Billers stay valid: their next charge
+// lands in the fresh accounting period.
 func (a *Accountant) Reset() {
 	a.usages = make(map[string]*Usage)
+	a.gen++
+}
+
+// Biller bills one CPU lane: every charge goes to entity and, when
+// guestOf is non-empty, is mirrored to guestOf as Guest time (the host
+// view of vCPU execution). It is the datapath's per-charge billing path,
+// so it looks the two entities up once, on the first charge that records
+// anything, and then adds to their usage cells directly; a Reset of the
+// accountant makes it look them up again. A lane that never bills
+// anything creates no entity. A charge that records anything is billed
+// exactly as Record(entity, c, d) followed, with guestOf set, by
+// Record(guestOf, Guest, d); any other charge is ignored whole.
+type Biller struct {
+	acct            *Accountant
+	entity, guestOf string
+	gen             uint64 // acct.gen the cells below belong to
+	u, g            *Usage
+}
+
+// NewBiller returns a biller for entity (mirrored to guestOf, if set) on a.
+func NewBiller(a *Accountant, entity, guestOf string) *Biller {
+	return &Biller{acct: a, entity: entity, guestOf: guestOf}
+}
+
+// Bill records d of category c on the biller's entity and mirrors it as
+// guest time.
+func (b *Biller) Bill(c Category, d time.Duration) {
+	if !billable(c, d) {
+		return
+	}
+	if b.gen != b.acct.gen {
+		b.u = b.acct.usage(b.entity)
+		b.g = nil
+		if b.guestOf != "" {
+			b.g = b.acct.usage(b.guestOf)
+		}
+		b.gen = b.acct.gen
+	}
+	b.u.byCat[c] += d
+	if b.g != nil {
+		b.g.byCat[Guest] += d
+	}
 }

@@ -1,6 +1,8 @@
 package cpuacct
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,5 +143,88 @@ func TestUsageAlgebraProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBillerMatchesRecord: billing through resolved-once Billers leaves
+// the accountant exactly as the equivalent Record calls do, including
+// across a Reset in the middle of the stream of charges.
+func TestBillerMatchesRecord(t *testing.T) {
+	type lane struct{ entity, guestOf string }
+	lanes := []lane{{"host", ""}, {"app/web", "vm/web"}, {"app/db", "vm/db"}, {"vm/web", ""}, {"idle", "vm/idle"}}
+	viaBiller, viaRecord := New(), New()
+	billers := make([]*Biller, len(lanes))
+	for i, l := range lanes {
+		billers[i] = NewBiller(viaBiller, l.entity, l.guestOf)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5000; i++ {
+		k := rng.Intn(len(lanes) - 1) // the last lane never bills
+		c := Category(rng.Intn(int(numCategories)+1) - 1)
+		d := time.Duration(rng.Intn(100)-10) * time.Microsecond
+		billers[k].Bill(c, d)
+		if billable(c, d) {
+			viaRecord.Record(lanes[k].entity, c, d)
+			if lanes[k].guestOf != "" {
+				viaRecord.Record(lanes[k].guestOf, Guest, d)
+			}
+		}
+		if i == 2500 {
+			viaBiller.Reset()
+			viaRecord.Reset()
+		}
+	}
+	got, want := viaBiller.Entities(), viaRecord.Entities()
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Entities = %v, Record gives %v", got, want)
+	}
+	for _, e := range want {
+		if viaBiller.Usage(e) != viaRecord.Usage(e) {
+			t.Errorf("%s: biller usage %v, Record usage %v", e, viaBiller.Usage(e), viaRecord.Usage(e))
+		}
+	}
+	for _, e := range []string{"idle", "vm/idle"} {
+		for _, got := range got {
+			if got == e {
+				t.Errorf("lane that never billed created entity %q", e)
+			}
+		}
+	}
+}
+
+// TestBillerReResolvesAfterReset: a biller resolved before Reset bills
+// into the new accounting period, not into the discarded one.
+func TestBillerReResolvesAfterReset(t *testing.T) {
+	a := New()
+	b := NewBiller(a, "app/x", "vm/x")
+	b.Bill(Usr, time.Second)
+	a.Reset()
+	b.Bill(Sys, 2*time.Second)
+	if got := a.Usage("app/x"); got.Of(Usr) != 0 || got.Of(Sys) != 2*time.Second {
+		t.Fatalf("app/x after Reset = %v, want only sys=2s", got)
+	}
+	if got := a.Usage("vm/x").Of(Guest); got != 2*time.Second {
+		t.Fatalf("vm/x guest after Reset = %v, want 2s", got)
+	}
+	a.Reset()
+	if len(a.Entities()) != 0 {
+		t.Fatalf("Entities after Reset = %v, want none", a.Entities())
+	}
+}
+
+// TestZeroChargesCreateNoEntity: charges that record nothing — zero or
+// negative durations, unknown categories — leave Entities empty, through
+// Record and through a Biller alike.
+func TestZeroChargesCreateNoEntity(t *testing.T) {
+	a := New()
+	a.Record("host", Usr, 0)
+	a.Record("host", Sys, -time.Second)
+	a.Record("host", Category(99), time.Second)
+	b := NewBiller(a, "app/x", "vm/x")
+	b.Bill(Usr, 0)
+	b.Bill(Soft, -time.Millisecond)
+	b.Bill(Category(-1), time.Second)
+	if ents := a.Entities(); len(ents) != 0 {
+		t.Fatalf("Entities = %v after charges that record nothing, want none", ents)
 	}
 }

@@ -65,12 +65,17 @@ func (f *Frame) WireLen() int {
 
 // Clone returns a deep copy of the frame's headers. Payload bytes are
 // shared (they are immutable by convention); header rewrites by NAT never
-// alias between clones. Devices that fan a frame out to several receivers
+// alias between clones. A stream segment's message metadata is copied
+// too, because each packet owns its segMeta until the receiver recycles
+// it (see pool.go). Devices that fan a frame out to several receivers
 // (bridge flooding, the Hostlo reflect) must clone.
 func (f *Frame) Clone() *Frame {
 	nf := *f
 	if f.Packet != nil {
 		p := *f.Packet
+		if m, ok := p.App.(*segMeta); ok {
+			p.App = &segMeta{completes: append([]message(nil), m.completes...)}
+		}
 		nf.Packet = &p
 	}
 	if f.ARP != nil {

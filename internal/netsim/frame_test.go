@@ -130,3 +130,21 @@ func TestStageCost(t *testing.T) {
 		t.Fatalf("Scale wrong: %+v", s)
 	}
 }
+
+// TestFrameCloneCopiesSegMeta: each packet owns its stream segment
+// metadata, so a clone (a duplicated or reflected segment) keeps its
+// messages after the original's metadata is recycled and reused.
+func TestFrameCloneCopiesSegMeta(t *testing.T) {
+	_, n := newWorld()
+	m := n.getSegMeta()
+	m.completes = append(m.completes, message{size: 10, app: "req"})
+	f := &Frame{Type: EtherIPv4, Packet: &Packet{Proto: ProtoTCP, App: m}}
+	c := f.Clone()
+	n.putSegMeta(m)
+	reused := n.getSegMeta()
+	reused.completes = append(reused.completes, message{size: 99})
+	got := c.Packet.App.(*segMeta).completes
+	if len(got) != 1 || got[0].size != 10 || got[0].app != "req" {
+		t.Fatalf("clone's messages = %+v after the original was recycled, want one 10-byte \"req\"", got)
+	}
+}

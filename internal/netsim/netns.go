@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -36,6 +37,7 @@ type Net struct {
 	// unlocked: each Net runs on exactly one goroutine.
 	pktPool   []*Packet
 	framePool []*Frame
+	segPool   []*segMeta
 }
 
 // NewNet builds a world around an engine with the default cost model.
@@ -116,8 +118,11 @@ type NetNS struct {
 	// Drops tallies discarded traffic.
 	Drops DropCounters
 
-	ifaces  map[string]*Iface
-	ifOrder []string
+	ifaces map[string]*Iface
+	// ifList holds the interfaces in creation order. The per-packet
+	// loops (isLocalAddr, the on-link scan of lookupRoute) walk it
+	// directly; the map serves lookups by name.
+	ifList  []*Iface
 	routes  []Route
 	arp     map[IPv4]MAC
 	arpWait map[IPv4][]*Frame // packets parked on ARP resolution, with egress recorded in frame dst trick
@@ -131,6 +136,10 @@ type NetNS struct {
 	conns     map[connKey]*StreamConn
 	pings     map[uint64]*pingWaiter
 	nextPort  uint16
+
+	// chargeScratch backs the receive-side charge list of stream
+	// segments that complete messages (see streamDemux).
+	chargeScratch []Charge
 }
 
 // NewNS creates a namespace whose work runs on the given CPU. A loopback
@@ -167,7 +176,7 @@ func (ns *NetNS) AddIface(name string, mac MAC, mtu int) *Iface {
 	}
 	i := &Iface{NS: ns, Name: name, MAC: mac, MTU: mtu}
 	ns.ifaces[name] = i
-	ns.ifOrder = append(ns.ifOrder, name)
+	ns.ifList = append(ns.ifList, i)
 	return i
 }
 
@@ -179,12 +188,7 @@ func (ns *NetNS) RemoveIface(name string) *Iface {
 		return nil
 	}
 	delete(ns.ifaces, name)
-	for k, n := range ns.ifOrder {
-		if n == name {
-			ns.ifOrder = append(ns.ifOrder[:k], ns.ifOrder[k+1:]...)
-			break
-		}
-	}
+	ns.ifList = slices.DeleteFunc(ns.ifList, func(x *Iface) bool { return x == i })
 	i.NS = nil
 	return i
 }
@@ -199,7 +203,7 @@ func (ns *NetNS) AdoptIface(i *Iface, newName string) {
 	i.NS = ns
 	i.Name = newName
 	ns.ifaces[newName] = i
-	ns.ifOrder = append(ns.ifOrder, newName)
+	ns.ifList = append(ns.ifList, i)
 }
 
 // Iface returns the named interface, or nil.
@@ -210,11 +214,7 @@ func (ns *NetNS) Loopback() *Iface { return ns.lo }
 
 // Ifaces returns the namespace's interfaces in creation order.
 func (ns *NetNS) Ifaces() []*Iface {
-	out := make([]*Iface, 0, len(ns.ifOrder))
-	for _, n := range ns.ifOrder {
-		out = append(out, ns.ifaces[n])
-	}
-	return out
+	return slices.Clone(ns.ifList)
 }
 
 // AddRoute installs a route. Routes are kept sorted by prefix length so
@@ -233,8 +233,7 @@ func (ns *NetNS) lookupRoute(dst IPv4) (*Iface, IPv4, bool) {
 		return ns.lo, dst, true
 	}
 	// On-link subnets of configured interfaces.
-	for _, name := range ns.ifOrder {
-		i := ns.ifaces[name]
+	for _, i := range ns.ifList {
 		if i == ns.lo || !i.Up || i.Net.Bits == 0 {
 			continue
 		}
@@ -265,7 +264,7 @@ func (ns *NetNS) isLocalAddr(addr IPv4) bool {
 	if addr.IsLoopback() {
 		return true
 	}
-	for _, i := range ns.ifaces {
+	for _, i := range ns.ifList {
 		if i.Addr == addr {
 			return true
 		}
@@ -507,12 +506,8 @@ func (loopbackLink) Send(src *Iface, f *Frame) {
 
 // BillTo returns a billing function that records usage on entity, and —
 // when guestOf is non-empty — mirrors the total as guest time of that VM
-// (the host view of vCPU execution).
+// (the host view of vCPU execution). The entities are resolved once per
+// lane (see cpuacct.Biller), not looked up on every charge.
 func BillTo(acct *cpuacct.Accountant, entity, guestOf string) func(cpuacct.Category, time.Duration) {
-	return func(cat cpuacct.Category, d time.Duration) {
-		acct.Record(entity, cat, d)
-		if guestOf != "" {
-			acct.Record(guestOf, cpuacct.Guest, d)
-		}
-	}
+	return cpuacct.NewBiller(acct, entity, guestOf).Bill
 }

@@ -1,12 +1,14 @@
 package netsim
 
 // Datapath object pools. The simulated datapath creates one Packet per
-// stream segment/ACK and one Frame per link crossing; at stream rates
-// that is hundreds of thousands of short-lived heap objects per second
-// of virtual time. Ownership of both is linear — a frame ends its life
-// at exactly one namespace's input (or is cloned-and-dropped on fan-out
-// paths), and a stream packet ends at exactly one streamInput — so both
-// can be recycled through per-Net free lists at those points.
+// stream segment/ACK, one Frame per link crossing and one segMeta per
+// segment that completes a message; at stream rates that is hundreds of
+// thousands of short-lived heap objects per second of virtual time.
+// Ownership of all three is linear — a frame ends its life at exactly
+// one namespace's input (or is cloned-and-dropped on fan-out paths), a
+// stream packet ends at exactly one streamInput, and its segMeta at the
+// end of the receiver's OnMessage loop — so all can be recycled through
+// per-Net free lists at those points.
 //
 // The pools are deliberately per-Net and lock-free: each Net is owned by
 // one engine and one goroutine, so recycling is deterministic (same
@@ -23,6 +25,12 @@ package netsim
 //     streamInput — the transport never leaks *Packet to applications
 //     (OnMessage receives size/app/sentAt), unlike UDP's OnRecv, so UDP
 //     and ICMP packets are never pooled.
+//   - putSegMeta: only by the receiving connection, after its OnMessage
+//     loop has delivered every message of the segment. Until then the
+//     segMeta belongs to exactly one packet: the sender attaches it as
+//     Packet.App, and Frame.Clone gives each clone a copy of its own, so
+//     a duplicated or reflected segment never shares one. A segment
+//     dropped on the way leaves its segMeta to the GC.
 //
 // Dropped objects (ring overflows, no-route, bad MAC before input) are
 // simply left to the GC: a pool miss is a missed reuse, never a leak.
@@ -73,4 +81,27 @@ func (n *Net) putFrame(f *Frame) {
 	}
 	*f = Frame{}
 	n.framePool = append(n.framePool, f)
+}
+
+// getSegMeta returns a segMeta with no messages, recycled when possible;
+// a recycled one keeps its completes capacity.
+func (n *Net) getSegMeta() *segMeta {
+	if last := len(n.segPool) - 1; last >= 0 {
+		m := n.segPool[last]
+		n.segPool[last] = nil
+		n.segPool = n.segPool[:last]
+		return m
+	}
+	return new(segMeta)
+}
+
+// putSegMeta recycles m once its messages have been delivered. The
+// messages are cleared so their app payloads are not kept alive.
+func (n *Net) putSegMeta(m *segMeta) {
+	if len(n.segPool) >= poolCap {
+		return
+	}
+	clear(m.completes)
+	m.completes = m.completes[:0]
+	n.segPool = append(n.segPool, m)
 }

@@ -57,11 +57,13 @@ type message struct {
 	sentAt sim.Time
 }
 
-// segMeta rides on a data segment: the messages whose final byte the
-// segment carries (the receiver fires OnMessage for each). Segments
-// coalesce bytes across message boundaries like a real byte stream, so
-// bulk traffic over jumbo-MTU paths (loopback) amortizes per-segment
-// costs over many messages.
+// segMeta rides on a data segment as *segMeta: the messages whose final
+// byte the segment carries (the receiver fires OnMessage for each).
+// Segments coalesce bytes across message boundaries like a real byte
+// stream, so bulk traffic over jumbo-MTU paths (loopback) amortizes
+// per-segment costs over many messages. Each segMeta is owned by exactly
+// one packet (Frame.Clone copies it) and is recycled through the Net's
+// free list once the receiver has delivered its messages (see pool.go).
 type segMeta struct {
 	completes []message
 }
@@ -83,8 +85,11 @@ type StreamConn struct {
 	onConnected func(*StreamConn)
 
 	// Send direction.
-	sendQ    []message
-	headSent int // bytes of sendQ[0] already segmented
+	sendQ    sim.FIFO[message]
+	headSent int // bytes of the front message already segmented
+	// pumpFn is c.pump bound once, so SendMessage schedules the pump
+	// without allocating a closure per message.
+	pumpFn   func()
 	seq      uint64
 	ackedSeq uint64
 
@@ -187,18 +192,21 @@ func (c *StreamConn) SendMessage(size int, app interface{}) {
 		size = 1
 	}
 	c.MsgsOut++
-	c.sendQ = append(c.sendQ, message{size: size, app: app, sentAt: c.ns.Net.Eng.Now()})
+	c.sendQ.Push(message{size: size, app: app, sentAt: c.ns.Net.Eng.Now()})
 	charges := []Charge{
 		{cpuacct.Usr, c.ns.Costs.AppSend.For(size)},
 		{cpuacct.Sys, c.ns.Costs.SyscallTX.For(size)},
 	}
-	c.ns.CPU.RunCosts(charges, func() { c.pump() })
+	if c.pumpFn == nil {
+		c.pumpFn = c.pump
+	}
+	c.ns.CPU.RunCosts(charges, c.pumpFn)
 }
 
 // QueuedBytes returns bytes submitted but not yet segmented out.
 func (c *StreamConn) QueuedBytes() int {
 	n := -c.headSent
-	for _, m := range c.sendQ {
+	for _, m := range c.sendQ.Items() {
 		n += m.size
 	}
 	if n < 0 {
@@ -213,45 +221,50 @@ func (c *StreamConn) pump() {
 	if !c.established {
 		return
 	}
-	for len(c.sendQ) > 0 && c.InFlight() < c.window {
-		// Fill one segment, possibly spanning several messages.
-		h0 := c.headSent
+	for c.sendQ.Len() > 0 && c.InFlight() < c.window {
+		// Fill one segment, possibly spanning several messages: carve
+		// the front of the queue with a local cursor (k whole messages
+		// plus sent bytes of the next) and commit it only once the
+		// window admits the segment.
+		queued := c.sendQ.Items()
+		k, sent := 0, c.headSent
 		n := 0
-		var completes []message
 		var sentAt sim.Time
-		for n < c.mss && len(c.sendQ) > 0 {
-			head := &c.sendQ[0]
+		for n < c.mss && k < len(queued) {
+			head := &queued[k]
 			if sentAt == 0 || head.sentAt < sentAt {
 				sentAt = head.sentAt
 			}
 			take := c.mss - n
-			if rem := head.size - c.headSent; take > rem {
+			if rem := head.size - sent; take > rem {
 				take = rem
 			}
 			n += take
-			c.headSent += take
-			if c.headSent == head.size {
-				completes = append(completes, *head)
-				c.sendQ = c.sendQ[1:]
-				c.headSent = 0
+			sent += take
+			if sent == head.size {
+				k++
+				sent = 0
 			}
 		}
 		if c.InFlight()+n > c.window && c.InFlight() > 0 {
-			// Window would overrun: put the carved bytes back and wait
-			// for ACKs. (Overshoot is only allowed with nothing in
-			// flight, to guarantee progress on jumbo segments.)
-			c.sendQ = append(completes, c.sendQ...)
-			c.headSent = h0
+			// Window would overrun: leave the bytes queued and wait for
+			// ACKs. (Overshoot is only allowed with nothing in flight,
+			// to guarantee progress on jumbo segments.)
 			break
 		}
+		c.headSent = sent
 		p := c.ns.Net.getPacket()
 		p.Dst, p.Proto = c.remoteAddr, ProtoTCP
 		p.SrcPort, p.DstPort, p.TTL = c.localPort, c.remotePort, 64
 		p.PayloadLen = n
 		p.Seg = Seg{Kind: SegData, Seq: c.seq, ConnID: c.id}
 		p.SentAt = sentAt
-		if len(completes) > 0 {
-			p.App = segMeta{completes: completes}
+		if k > 0 {
+			meta := c.ns.Net.getSegMeta()
+			for ; k > 0; k-- {
+				meta.completes = append(meta.completes, c.sendQ.Pop())
+			}
+			p.App = meta
 		}
 		c.seq += uint64(n)
 		// Per-segment kernel transmit work happens in Output (routing,
@@ -261,7 +274,7 @@ func (c *StreamConn) pump() {
 	// Writable notification: queue fully flushed (fires on data pumps
 	// and on ACK-driven pumps alike, so senders can keep the window
 	// full).
-	if len(c.sendQ) == 0 && c.OnDrain != nil {
+	if c.sendQ.Len() == 0 && c.OnDrain != nil {
 		c.OnDrain()
 	}
 }
@@ -329,7 +342,7 @@ func (ns *NetNS) streamDemux(p *Packet) {
 		}
 		c.rcvd += uint64(p.PayloadLen)
 		c.segsSinceAck++
-		meta, final := p.App.(segMeta)
+		meta, final := p.App.(*segMeta)
 		if c.segsSinceAck >= ns.Costs.AckEvery || final {
 			c.segsSinceAck = 0
 			ack := ns.Net.getPacket()
@@ -339,21 +352,24 @@ func (ns *NetNS) streamDemux(p *Packet) {
 			c.ns.Output(ack, nil)
 		}
 		if final {
-			var charges []Charge
+			// The charge list is built in the namespace's scratch buffer:
+			// RunCosts consumes it synchronously.
+			charges := ns.chargeScratch[:0]
 			for _, m := range meta.completes {
 				charges = append(charges,
 					Charge{cpuacct.Sys, ns.Costs.SyscallRX.For(m.size)},
 					Charge{cpuacct.Usr, ns.Costs.AppRecv.For(m.size)},
 				)
 			}
-			completes := meta.completes
+			ns.chargeScratch = charges[:0]
 			ns.CPU.RunCosts(charges, func() {
-				for _, m := range completes {
+				for _, m := range meta.completes {
 					c.MsgsIn++
 					if c.OnMessage != nil {
 						c.OnMessage(m.size, m.app, m.sentAt)
 					}
 				}
+				ns.Net.putSegMeta(meta)
 			})
 		}
 

@@ -83,4 +83,22 @@ func TestStationJobZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("station job allocates %.1f objects/op, want 0", allocs)
 	}
+
+	// Warm deep queue: with ~4096 jobs waiting, one submit plus one
+	// completion (which dequeues the next job) must stay allocation-free
+	// once the queue array has reached its steady-state size.
+	for i := 0; i < 4096; i++ {
+		s.Process(time.Microsecond, nil)
+	}
+	for i := 0; i < 3*4096; i++ {
+		s.Process(time.Microsecond, nil)
+		e.step()
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		s.Process(time.Microsecond, nil)
+		e.step()
+	})
+	if allocs != 0 {
+		t.Fatalf("station job at queue depth %d allocates %.1f objects/op, want 0", s.QueueLen(), allocs)
+	}
 }

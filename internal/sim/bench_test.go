@@ -92,3 +92,21 @@ func BenchmarkStationPipeline(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkStationDeepQueue holds about 4096 jobs waiting at one station
+// and measures one submit plus one completion (which dequeues the next
+// job) at that depth — the shape of a station under a TCP_STREAM window.
+// A dequeue that costs O(queue depth) shows up here directly.
+func BenchmarkStationDeepQueue(b *testing.B) {
+	e := New(1)
+	s := NewStation(e, "deep", 1)
+	for i := 0; i < 4096; i++ {
+		s.Process(time.Microsecond, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Process(time.Microsecond, nil)
+		e.step()
+	}
+}

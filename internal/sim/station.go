@@ -15,7 +15,8 @@ type Station struct {
 	name    string
 	servers int
 	busy    int
-	queue   []stationJob
+	// queue holds the waiting jobs; dequeue is O(1) (see FIFO).
+	queue FIFO[stationJob]
 
 	// BusyTime accumulates total server-occupied time, for utilization
 	// reports (busy server-seconds, so it can exceed elapsed time when
@@ -64,7 +65,7 @@ func (s *Station) Name() string { return s.name }
 func (s *Station) Servers() int { return s.servers }
 
 // QueueLen returns the number of jobs waiting (not in service).
-func (s *Station) QueueLen() int { return len(s.queue) }
+func (s *Station) QueueLen() int { return s.queue.Len() }
 
 // Busy returns the number of servers currently occupied.
 func (s *Station) Busy() int { return s.busy }
@@ -86,7 +87,7 @@ func (s *Station) Process(service time.Duration, done func()) {
 	// A job may only jump straight onto a server when no earlier work is
 	// waiting — otherwise submissions made from completion callbacks
 	// would cut ahead of the FIFO queue and starve it.
-	if s.busy < s.servers && len(s.queue) == 0 {
+	if s.busy < s.servers && s.queue.Len() == 0 {
 		if s.wakeMean > 0 && s.busy == 0 && s.eng.now-s.idleSince >= s.wakeThreshold {
 			w := time.Duration(s.eng.rng.Normal(float64(s.wakeMean), float64(s.wakeJitter)))
 			if w < s.wakeMean/4 {
@@ -101,12 +102,12 @@ func (s *Station) Process(service time.Duration, done func()) {
 		s.start(stationJob{service: service, done: done})
 		return
 	}
-	s.queue = append(s.queue, stationJob{service: service, done: done})
-	if len(s.queue) > s.MaxQueue {
-		s.MaxQueue = len(s.queue)
+	s.queue.Push(stationJob{service: service, done: done})
+	if n := s.queue.Len(); n > s.MaxQueue {
+		s.MaxQueue = n
 	}
 	if s.Probe != nil {
-		s.Probe.StationQueue(s, len(s.queue))
+		s.Probe.StationQueue(s, s.queue.Len())
 	}
 }
 
@@ -134,12 +135,10 @@ func (s *Station) complete(done func()) {
 	}
 	// Claim the next queued job before running the completion
 	// callback: work the callback submits must line up behind it.
-	if len(s.queue) > 0 && s.busy < s.servers {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue = s.queue[:len(s.queue)-1]
+	if s.queue.Len() > 0 && s.busy < s.servers {
+		next := s.queue.Pop()
 		if s.Probe != nil {
-			s.Probe.StationQueue(s, len(s.queue))
+			s.Probe.StationQueue(s, s.queue.Len())
 		}
 		s.start(next)
 	}
