@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
@@ -325,6 +326,93 @@ func TestRepackWorkerCountEquivalence(t *testing.T) {
 		t.Fatalf("only %d candidate groups across the run — nothing to fan out", want.OptimizerGroups)
 	}
 	if want.Kills == 0 {
+		t.Fatal("no node was killed — the fault path went unexercised")
+	}
+}
+
+// workerScenarioConfig is the churn + kills + faults scenario the
+// repack pin runs: mixed-size churn (wide pods included) under node
+// crashes, big enough that incremental passes carry several per-type
+// candidate groups and the packing cache both hits and misses.
+func workerScenarioConfig(t *testing.T) cluster.Config {
+	sched, err := faults.ParseSpec("node/*:crash:p=0.02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cluster.Config{
+		Seed:      23,
+		Pods:      repackWorkload(23),
+		Policy:    cluster.Hostlo,
+		Horizon:   6 * time.Hour,
+		BootDelay: 30 * time.Second,
+		Faults:    sched,
+	}
+}
+
+// workerScenarioTraceSHA256 is the SHA-256 of the scenario's text
+// telemetry trace, and workerScenarioResult its Result, both recorded
+// when the incremental repack still fanned cache-miss groups across
+// goroutines (1, 2, 4 and 8 workers all produced exactly these).
+const workerScenarioTraceSHA256 = "ff6b622d0f983eba556dd96dab74bf0a94795727b33255fda2a287b97e6bfea2"
+
+var workerScenarioResult = cluster.Result{
+	Policy:               cluster.Hostlo,
+	Arrived:              35,
+	Scheduled:            35,
+	Departed:             35,
+	Displaced:            135,
+	Reschedules:          135,
+	Kills:                80,
+	ScaleUps:             102,
+	OptimizerRuns:        91,
+	OptimizerFull:        61,
+	OptimizerMoves:       172,
+	OptimizerGroups:      95,
+	OptimizerCacheHits:   43,
+	OptimizerCacheMisses: 52,
+	PeakNodes:            21,
+	ReconcileRounds:      822,
+	ReconcileActions:     102,
+	CostDollars:          81.962542032571,
+	CostOnDemandDollars:  81.962542032571,
+	TTSSum:               1050525990706,
+	TTSMean:              30015028305,
+	TTSP95:               120000000000,
+	TTSMax:               120000000000,
+	Samples: []cluster.Sample{
+		{T: 1800000000000, CostPerH: 20.613000000000003, Pending: 9, Nodes: 9, UsedCPU: 1.9835000000000003, CapCPU: 3.8333, Points: 1, SumCostPerH: 20.613000000000003, SumPending: 9, SumNodes: 9, SumUsedCPU: 1.9835000000000003, SumCapCPU: 3.8333},
+		{T: 3600000000000, CostPerH: 24.199, Pending: 1, Nodes: 8, UsedCPU: 3.5737, CapCPU: 4.5, Points: 1, SumCostPerH: 24.199, SumPending: 1, SumNodes: 8, SumUsedCPU: 3.5737, SumCapCPU: 4.5},
+		{T: 5400000000000, CostPerH: 33.164, Pending: 0, Nodes: 13, UsedCPU: 5.151600000000001, CapCPU: 6.1667000000000005, Points: 1, SumCostPerH: 33.164, SumPending: 0, SumNodes: 13, SumUsedCPU: 5.151600000000001, SumCapCPU: 6.1667000000000005},
+		{T: 7200000000000, CostPerH: 32.268, Pending: 0, Nodes: 12, UsedCPU: 4.8106, CapCPU: 6, Points: 1, SumCostPerH: 32.268, SumPending: 0, SumNodes: 12, SumUsedCPU: 4.8106, SumCapCPU: 6},
+		{T: 9000000000000, CostPerH: 32.268, Pending: 0, Nodes: 12, UsedCPU: 4.8106, CapCPU: 6, Points: 1, SumCostPerH: 32.268, SumPending: 0, SumNodes: 12, SumUsedCPU: 4.8106, SumCapCPU: 6},
+		{T: 10800000000000, CostPerH: 10.756, Pending: 0, Nodes: 4, UsedCPU: 1.6105999999999998, CapCPU: 2, Points: 1, SumCostPerH: 10.756, SumPending: 0, SumNodes: 4, SumUsedCPU: 1.6105999999999998, SumCapCPU: 2},
+		{T: 12600000000000, CostPerH: 0.112, Pending: 0, Nodes: 1, UsedCPU: 0.0106, CapCPU: 0.0208, Points: 1, SumCostPerH: 0.112, SumPending: 0, SumNodes: 1, SumUsedCPU: 0.0106, SumCapCPU: 0.0208},
+		{T: 14400000000000, CostPerH: 0, Pending: 0, Nodes: 0, UsedCPU: 0, CapCPU: 0, Points: 1, SumCostPerH: 0, SumPending: 0, SumNodes: 0, SumUsedCPU: 0, SumCapCPU: 0},
+		{T: 16200000000000, CostPerH: 0, Pending: 0, Nodes: 0, UsedCPU: 0, CapCPU: 0, Points: 1, SumCostPerH: 0, SumPending: 0, SumNodes: 0, SumUsedCPU: 0, SumCapCPU: 0},
+		{T: 18000000000000, CostPerH: 0, Pending: 0, Nodes: 0, UsedCPU: 0, CapCPU: 0, Points: 1, SumCostPerH: 0, SumPending: 0, SumNodes: 0, SumUsedCPU: 0, SumCapCPU: 0},
+		{T: 19800000000000, CostPerH: 0, Pending: 0, Nodes: 0, UsedCPU: 0, CapCPU: 0, Points: 1, SumCostPerH: 0, SumPending: 0, SumNodes: 0, SumUsedCPU: 0, SumCapCPU: 0},
+		{T: 21600000000000, CostPerH: 0, Pending: 0, Nodes: 0, UsedCPU: 0, CapCPU: 0, Points: 1, SumCostPerH: 0, SumPending: 0, SumNodes: 0, SumUsedCPU: 0, SumCapCPU: 0},
+	},
+}
+
+// TestRepackScenarioGolden pins the incremental repack's output under
+// churn, node kills and provisioning faults: the Result and the
+// telemetry trace must match the recorded ones exactly.
+func TestRepackScenarioGolden(t *testing.T) {
+	res, tr := runMode(t, workerScenarioConfig(t), false)
+	if !reflect.DeepEqual(res, workerScenarioResult) {
+		t.Fatalf("Result diverged from the recorded pin:\n got: %+v\nwant: %+v", res, workerScenarioResult)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(tr))); got != workerScenarioTraceSHA256 {
+		t.Fatalf("telemetry trace SHA-256 %s, want %s (%d bytes)", got, workerScenarioTraceSHA256, len(tr))
+	}
+	if res.OptimizerRuns == res.OptimizerFull {
+		t.Fatal("every pass was full-fleet — the grouped incremental pass went unexercised")
+	}
+	if res.OptimizerGroups < 2 {
+		t.Fatalf("only %d candidate groups across the run", res.OptimizerGroups)
+	}
+	if res.Kills == 0 {
 		t.Fatal("no node was killed — the fault path went unexercised")
 	}
 }
