@@ -89,8 +89,6 @@ func main() {
 		"lifecycle: use the linear-scan reference scheduler instead of the capacity index (same placements, O(fleet) per decision — a debugging aid)")
 	fullRepack := flag.Bool("full-repack", false,
 		"lifecycle: pin the Hostlo optimizer to full-fleet passes instead of dirty-set incremental ones")
-	repackWorkers := flag.Int("repack-workers", 0,
-		"lifecycle: goroutines one incremental optimize pass fans candidate groups across (0 = GOMAXPROCS; any value is byte-identical)")
 	repackCache := flag.Int("repack-cache", 0,
 		"lifecycle: packing-cache entries per cluster world (0 = default 4096, negative = caching off; placements are byte-identical either way)")
 	replay := flag.String("replay", "",
@@ -131,9 +129,6 @@ func main() {
 	}
 	if *worlds < 1 {
 		cli.BadFlag("costsim: -worlds must be >= 1, got %d", *worlds)
-	}
-	if *repackWorkers < 0 {
-		cli.BadFlag("costsim: -repack-workers must be >= 0, got %d", *repackWorkers)
 	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -229,8 +224,7 @@ func main() {
 			pipeline: *pipeline, sampleCap: *sampleCap,
 			lenient: *lenient, sched: sched,
 			reference: *reference, fullRepack: *fullRepack,
-			repackWorkers: *repackWorkers, repackCache: *repackCache,
-			cloud: cl, rec: tf.Recorder(), emit: emit,
+			repackCache: *repackCache, cloud: cl, rec: tf.Recorder(), emit: emit,
 		})
 		tf.EmitOrDie("costsim")
 		return
@@ -241,8 +235,7 @@ func main() {
 			users: *users, seed: *seed, horizon: *horizon, gap: *gap,
 			life: *life, boot: *boot, workers: *workers, sched: sched,
 			reference: *reference, fullRepack: *fullRepack,
-			repackWorkers: *repackWorkers, repackCache: *repackCache,
-			cloud: cl, rec: tf.Recorder(), emit: emit,
+			repackCache: *repackCache, cloud: cl, rec: tf.Recorder(), emit: emit,
 		})
 		tf.EmitOrDie("costsim")
 		return
@@ -342,21 +335,20 @@ func crossCloud(sel *cloud.Catalog, selRes cloudsim.PopulationResult,
 
 // lifecycleOpts bundles the -lifecycle run parameters.
 type lifecycleOpts struct {
-	users         int
-	seed          int64
-	horizon       time.Duration
-	gap           time.Duration
-	life          time.Duration
-	boot          time.Duration
-	workers       int
-	sched         *faults.Schedule
-	reference     bool
-	fullRepack    bool
-	repackWorkers int
-	repackCache   int
-	cloud         *cloud.Resolved
-	rec           *telemetry.Recorder
-	emit          func(*report.Table)
+	users       int
+	seed        int64
+	horizon     time.Duration
+	gap         time.Duration
+	life        time.Duration
+	boot        time.Duration
+	workers     int
+	sched       *faults.Schedule
+	reference   bool
+	fullRepack  bool
+	repackCache int
+	cloud       *cloud.Resolved
+	rec         *telemetry.Recorder
+	emit        func(*report.Table)
 }
 
 // autoscalerMode maps the resolved CLI choice onto the cluster enum.
@@ -385,7 +377,6 @@ func runLifecycle(o lifecycleOpts) {
 		Faults:        o.sched,
 		Reference:     o.reference,
 		FullRepack:    o.fullRepack,
-		RepackWorkers: o.repackWorkers,
 		PackCacheSize: o.repackCache,
 		Zones:         o.cloud.Zones,
 		ZoneNames:     o.cloud.ZoneNames,
@@ -474,7 +465,6 @@ type replayOpts struct {
 	sched         *faults.Schedule
 	reference     bool
 	fullRepack    bool
-	repackWorkers int
 	repackCache   int
 	cloud         *cloud.Resolved
 	rec           *telemetry.Recorder
@@ -509,7 +499,6 @@ func runReplay(o replayOpts) {
 				Faults:        o.sched,
 				Reference:     o.reference,
 				FullRepack:    o.fullRepack,
-				RepackWorkers: o.repackWorkers,
 				PackCacheSize: o.repackCache,
 				Zones:         o.cloud.Zones,
 				ZoneNames:     o.cloud.ZoneNames,

@@ -105,7 +105,16 @@ func main() {
 		time.Since(start).Round(time.Millisecond), st.BasePods, st.SnapAt, st.SnapshotB, st.BaseDigest)
 	fmt.Fprintf(os.Stderr, "whatif: serving %s on http://%s (kinds: %s)\n",
 		"/whatif /stats /base", *addr, strings.Join(snapshot.KindNames(), " "))
-	if err := http.ListenAndServe(*addr, svc.Handler()); err != nil {
+	// The timeouts bound how long a client may hold a connection without
+	// sending a query; a query itself runs as long as its branch does.
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	if err := srv.ListenAndServe(); err != nil {
 		cli.Fatal("whatif", err)
 	}
 }

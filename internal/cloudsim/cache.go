@@ -2,7 +2,7 @@ package cloudsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -31,8 +31,8 @@ import (
 //
 // The cache is deliberately not safe for concurrent use: each cluster
 // world owns one (parallel population fan-outs and shard worlds never
-// share), and the cluster probes/installs serially around its parallel
-// group fan-out so LRU order stays deterministic.
+// share), and the cluster probes and installs in group type order so
+// LRU order stays deterministic.
 
 // CanonicalizePlacement sorts a placement into its canonical order, in
 // place: items within each VM by (Pod, CPU, Mem), then VMs by content
@@ -43,7 +43,7 @@ func CanonicalizePlacement(vms []PlacedVM) {
 	for _, pv := range vms {
 		sortItemsCanonical(pv.Items)
 	}
-	sort.Slice(vms, func(a, b int) bool { return cmpPlacedVM(vms[a], vms[b]) < 0 })
+	slices.SortFunc(vms, cmpPlacedVM)
 }
 
 // sortItemsCanonical orders items by (Pod, CPU, Mem) — an insertion
@@ -127,22 +127,31 @@ func GroupKey(vms []PlacedVM) packKey {
 	return k
 }
 
-// packEntry is one cached sub-solution on the LRU list.
+// packEntry is one cached sub-solution, linked into the LRU list by
+// arena index.
 type packEntry struct {
 	key        packKey
 	input      []PlacedVM // canonical group, deep-copied (verification)
 	output     []PlacedVM // OptimizeHostlo(input) — treated as read-only
-	prev, next *packEntry
+	prev, next int32      // LRU neighbours in PackCache.entries, -1 = none
 }
 
 // PackCache is a bounded LRU of Hostlo packing sub-solutions. The zero
 // value is not usable; NewPackCache sizes it. A nil *PackCache is a
 // valid always-miss cache, so callers can thread an optional cache
 // without branching.
+//
+// Entries live in one arena and link by index. The arena grows to the
+// capacity; from then on Put recycles the slot of the entry it evicts.
+// A cache restored from a PackCacheIndex finds the restored entries
+// through the index's shared, read-only key map, and only the keys it
+// installs itself through its own map.
 type PackCache struct {
 	cap        int
-	m          map[packKey]*packEntry
-	head, tail *packEntry // head = most recently used
+	base       map[packKey]int32 // restored key → slot, shared read-only; stale once the slot is recycled
+	m          map[packKey]int32 // installed key → slot
+	entries    []packEntry
+	head, tail int32 // head = most recently used; -1 when empty
 
 	hits, misses, evictions uint64
 }
@@ -153,7 +162,20 @@ func NewPackCache(capacity int) *PackCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PackCache{cap: capacity, m: make(map[packKey]*packEntry, capacity)}
+	return &PackCache{cap: capacity, m: make(map[packKey]int32), head: -1, tail: -1}
+}
+
+// slot finds the arena slot holding key. A base entry is valid only
+// while its slot still holds its key: a recycled slot belongs to the
+// key installed into it, which m maps.
+func (pc *PackCache) slot(key packKey) (int32, bool) {
+	if i, ok := pc.m[key]; ok {
+		return i, true
+	}
+	if i, ok := pc.base[key]; ok && pc.entries[i].key == key {
+		return i, true
+	}
+	return -1, false
 }
 
 // Get returns the memoized improved placement for a canonical group,
@@ -163,14 +185,14 @@ func (pc *PackCache) Get(group []PlacedVM) ([]PlacedVM, bool) {
 	if pc == nil {
 		return nil, false
 	}
-	e := pc.m[GroupKey(group)]
-	if e == nil || !equalPlacement(e.input, group) {
+	i, ok := pc.slot(GroupKey(group))
+	if !ok || !equalPlacement(pc.entries[i].input, group) {
 		pc.misses++
 		return nil, false
 	}
 	pc.hits++
-	pc.moveToFront(e)
-	return e.output, true
+	pc.moveToFront(i)
+	return pc.entries[i].output, true
 }
 
 // Put installs the improved placement for a canonical group, deep-
@@ -181,21 +203,26 @@ func (pc *PackCache) Put(group, improved []PlacedVM) {
 		return
 	}
 	key := GroupKey(group)
-	if e := pc.m[key]; e != nil {
+	if i, ok := pc.slot(key); ok {
+		e := &pc.entries[i]
 		e.input = copyPlacement(group)
 		e.output = improved
-		pc.moveToFront(e)
+		pc.moveToFront(i)
 		return
 	}
-	if len(pc.m) >= pc.cap {
-		lru := pc.tail
-		pc.unlink(lru)
-		delete(pc.m, lru.key)
+	var i int32
+	if len(pc.entries) >= pc.cap {
+		i = pc.tail
+		pc.unlink(i)
+		delete(pc.m, pc.entries[i].key)
 		pc.evictions++
+	} else {
+		i = int32(len(pc.entries))
+		pc.entries = append(pc.entries, packEntry{})
 	}
-	e := &packEntry{key: key, input: copyPlacement(group), output: improved}
-	pc.m[key] = e
-	pc.pushFront(e)
+	pc.entries[i] = packEntry{key: key, input: copyPlacement(group), output: improved}
+	pc.m[key] = i
+	pc.pushFront(i)
 }
 
 // PackCacheEntry is one exported cache entry. Input and Output are the
@@ -230,12 +257,13 @@ func (pc *PackCache) State() *PackCacheState {
 	}
 	st := &PackCacheState{
 		Cap:       pc.cap,
-		Entries:   make([]PackCacheEntry, 0, len(pc.m)),
+		Entries:   make([]PackCacheEntry, 0, len(pc.entries)),
 		Hits:      pc.hits,
 		Misses:    pc.misses,
 		Evictions: pc.evictions,
 	}
-	for e := pc.head; e != nil; e = e.next {
+	for i := pc.head; i >= 0; i = pc.entries[i].next {
+		e := &pc.entries[i]
 		st.Entries = append(st.Entries, PackCacheEntry{Input: e.input, Output: e.output})
 	}
 	return st
@@ -247,46 +275,79 @@ func (pc *PackCache) State() *PackCacheState {
 // backing arrays). A nil state, or one with a non-positive capacity,
 // restores the nil always-miss cache.
 func RestorePackCache(st *PackCacheState) (*PackCache, error) {
+	ix, err := IndexPackCache(st)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Restore(), nil
+}
+
+// PackCacheIndex is a captured state with every entry's key computed,
+// checked duplicate-free and mapped to its position: the part of a
+// restore that hashes. It is read-only, so one index restores any
+// number of caches, concurrently, and they all share its key map.
+type PackCacheIndex struct {
+	st    *PackCacheState
+	keys  []packKey         // keys[i] = GroupKey(st.Entries[i].Input)
+	slots map[packKey]int32 // keys[i] → i
+}
+
+// IndexPackCache keys a captured state. A nil state, or one with a
+// non-positive capacity, yields the nil index, which restores the nil
+// always-miss cache.
+func IndexPackCache(st *PackCacheState) (*PackCacheIndex, error) {
 	if st == nil || st.Cap <= 0 {
 		return nil, nil
 	}
-	if len(st.Entries) > st.Cap {
-		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", len(st.Entries), st.Cap)
+	n := len(st.Entries)
+	if n > st.Cap {
+		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", n, st.Cap)
 	}
+	ix := &PackCacheIndex{st: st, keys: make([]packKey, n), slots: make(map[packKey]int32, n)}
+	// From the least recent end: the order in which a duplicate has
+	// always been reported.
+	for i := n - 1; i >= 0; i-- {
+		key := GroupKey(st.Entries[i].Input)
+		if _, dup := ix.slots[key]; dup {
+			return nil, fmt.Errorf("cloudsim: pack cache state has duplicate key (entry %d)", i)
+		}
+		ix.keys[i] = key
+		ix.slots[key] = int32(i)
+	}
+	return ix, nil
+}
+
+// Restore builds a cache identical to the one the indexed state was
+// captured from: same entries, LRU order and counters. It hashes
+// nothing and builds no map: the cache looks its restored entries up in
+// the index's key map.
+func (ix *PackCacheIndex) Restore() *PackCache {
+	if ix == nil {
+		return nil
+	}
+	st, n := ix.st, len(ix.keys)
 	pc := &PackCache{
 		cap:       st.Cap,
-		m:         make(map[packKey]*packEntry, st.Cap),
+		base:      ix.slots,
+		m:         make(map[packKey]int32),
+		entries:   make([]packEntry, n),
+		head:      -1,
+		tail:      -1,
 		hits:      st.Hits,
 		misses:    st.Misses,
 		evictions: st.Evictions,
 	}
-	// Entries are in recency order; pushing front from the least recent
-	// end reproduces the LRU list exactly.
-	for i := len(st.Entries) - 1; i >= 0; i-- {
-		se := st.Entries[i]
-		key := GroupKey(se.Input)
-		if _, dup := pc.m[key]; dup {
-			return nil, fmt.Errorf("cloudsim: pack cache state has duplicate key (entry %d)", i)
-		}
-		e := &packEntry{key: key, input: se.Input, output: se.Output}
-		pc.m[key] = e
-		pc.pushFront(e)
+	// Entries are in recency order, so arena slot i links to i-1 and
+	// i+1.
+	for i, key := range ix.keys {
+		se := &st.Entries[i]
+		pc.entries[i] = packEntry{key: key, input: se.Input, output: se.Output, prev: int32(i) - 1, next: int32(i) + 1}
 	}
-	return pc, nil
-}
-
-// Clone returns an independent cache with the same contents: private
-// map and LRU list, shared (immutable) entry slices. The clone and the
-// original diverge freely from here — the copy-on-write fork path.
-func (pc *PackCache) Clone() *PackCache {
-	if pc == nil {
-		return nil
+	if n > 0 {
+		pc.entries[n-1].next = -1
+		pc.head, pc.tail = 0, int32(n-1)
 	}
-	clone, err := RestorePackCache(pc.State())
-	if err != nil { // unreachable: a live cache cannot hold duplicate keys
-		panic(err)
-	}
-	return clone
+	return pc
 }
 
 // Stats reports lifetime hit/miss/eviction counts.
@@ -302,41 +363,43 @@ func (pc *PackCache) Len() int {
 	if pc == nil {
 		return 0
 	}
-	return len(pc.m)
+	return len(pc.entries)
 }
 
-func (pc *PackCache) pushFront(e *packEntry) {
-	e.prev = nil
+func (pc *PackCache) pushFront(i int32) {
+	e := &pc.entries[i]
+	e.prev = -1
 	e.next = pc.head
-	if pc.head != nil {
-		pc.head.prev = e
+	if pc.head >= 0 {
+		pc.entries[pc.head].prev = i
 	}
-	pc.head = e
-	if pc.tail == nil {
-		pc.tail = e
+	pc.head = i
+	if pc.tail < 0 {
+		pc.tail = i
 	}
 }
 
-func (pc *PackCache) unlink(e *packEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+func (pc *PackCache) unlink(i int32) {
+	e := &pc.entries[i]
+	if e.prev >= 0 {
+		pc.entries[e.prev].next = e.next
 	} else {
 		pc.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next >= 0 {
+		pc.entries[e.next].prev = e.prev
 	} else {
 		pc.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = -1, -1
 }
 
-func (pc *PackCache) moveToFront(e *packEntry) {
-	if pc.head == e {
+func (pc *PackCache) moveToFront(i int32) {
+	if pc.head == i {
 		return
 	}
-	pc.unlink(e)
-	pc.pushFront(e)
+	pc.unlink(i)
+	pc.pushFront(i)
 }
 
 // equalPlacement reports exact structural equality of two placements.

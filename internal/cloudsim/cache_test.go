@@ -136,9 +136,8 @@ func TestPackCacheCollisionVerify(t *testing.T) {
 	// the collision: map the probe's key to the stored entry.
 	probe[0].Items = append(probe[0].Items, PlacedItem{Pod: "ghost", CPU: 0.05, Mem: 0.05})
 	CanonicalizePlacement(probe)
-	e := &packEntry{key: GroupKey(probe), input: copyPlacement(stored), output: nil}
-	pc.m[e.key] = e
-	pc.pushFront(e)
+	pc.Put(stored, nil)
+	pc.m[GroupKey(probe)] = pc.m[GroupKey(stored)]
 	if _, ok := pc.Get(probe); ok {
 		t.Fatal("colliding probe hit — exact-input verification is broken")
 	}
@@ -176,5 +175,73 @@ func TestNilPackCacheIsAlwaysMiss(t *testing.T) {
 	}
 	if h, m, e := pc.Stats(); h != 0 || m != 0 || e != 0 {
 		t.Fatal("nil cache has stats")
+	}
+}
+
+// TestRestoredPackCacheMatchesOriginal: a cache restored from a
+// captured state behaves exactly like the cache it was captured from
+// under any later sequence of probes and installs — same hits, same
+// evictions, same LRU order — including after the restored entries'
+// arena slots are recycled for new keys and old keys come back. Two
+// caches restored from one index stay independent.
+func TestRestoredPackCacheMatchesOriginal(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	var pool [][]PlacedVM
+	for i := 0; i < 24; i++ {
+		pool = append(pool, randGroup(r, fmt.Sprintf("k%d", i)))
+	}
+	outs := make([][]PlacedVM, len(pool))
+	for i, g := range pool {
+		outs[i] = OptimizeHostlo(g, Catalog())
+	}
+	step := func(pc *PackCache, op, gi int) bool {
+		if op == 0 {
+			_, ok := pc.Get(pool[gi])
+			return ok
+		}
+		pc.Put(pool[gi], outs[gi])
+		return false
+	}
+	for trial := 0; trial < 50; trial++ {
+		orig := NewPackCache(8)
+		for k := 0; k < 30; k++ {
+			step(orig, r.Intn(2), r.Intn(len(pool)))
+		}
+		ix, err := IndexPackCache(orig.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := ix.Restore(), ix.Restore()
+		for k := 0; k < 200; k++ {
+			op, gi := r.Intn(2), r.Intn(len(pool))
+			want := step(orig, op, gi)
+			if got := step(a, op, gi); got != want {
+				t.Fatalf("trial %d step %d: restored hit=%v, original %v", trial, k, got, want)
+			}
+			if !reflect.DeepEqual(a.State(), orig.State()) || a.Len() != orig.Len() {
+				t.Fatalf("trial %d step %d: restored cache state diverged from the original", trial, k)
+			}
+		}
+		// b saw none of those operations: still the captured state.
+		if !reflect.DeepEqual(b.State(), ix.st) {
+			t.Fatalf("trial %d: a sibling restore changed the other one", trial)
+		}
+	}
+}
+
+// TestIndexPackCacheRejectsBadState: a state whose entries outnumber its
+// capacity, or that holds one group twice, fails to index.
+func TestIndexPackCacheRejectsBadState(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	g := randGroup(r, "d")
+	e := PackCacheEntry{Input: g, Output: g}
+	if _, err := IndexPackCache(&PackCacheState{Cap: 4, Entries: []PackCacheEntry{e, e}}); err == nil {
+		t.Error("duplicate entries indexed")
+	}
+	if _, err := IndexPackCache(&PackCacheState{Cap: 1, Entries: []PackCacheEntry{e, {Input: randGroup(r, "e")}}}); err == nil {
+		t.Error("entries past capacity indexed")
+	}
+	if ix, err := IndexPackCache(&PackCacheState{Cap: 0}); ix != nil || err != nil || ix.Restore() != nil {
+		t.Error("a zero-capacity state must restore the nil cache")
 	}
 }

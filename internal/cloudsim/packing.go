@@ -3,6 +3,7 @@ package cloudsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -572,8 +573,15 @@ func (f *fleet) consolidate() bool {
 		order = append(order, i)
 	}
 	sc.order = order
-	sort.SliceStable(order, func(a, b int) bool {
-		return f.vms[order[a]].waste(f.catalog) > f.vms[order[b]].waste(f.catalog)
+	slices.SortStableFunc(order, func(a, b int) int {
+		wa, wb := f.vms[a].waste(f.catalog), f.vms[b].waste(f.catalog)
+		switch {
+		case wa > wb:
+			return -1
+		case wa < wb:
+			return 1
+		}
+		return 0
 	})
 
 	// Above the threshold, index every VM by (waste desc, position asc)

@@ -260,7 +260,7 @@ func (c *Cluster) drainNode(n *node, now sim.Time) {
 					break
 				}
 			}
-		} else if i, ok := c.podIndex[it.Pod]; ok {
+		} else if i, ok := c.podOf(it.Pod); ok {
 			victims = append(victims, i)
 		}
 	}

@@ -36,7 +36,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"nestless/internal/cloudsim"
@@ -150,12 +149,6 @@ type Config struct {
 	// pass, the optimizer falls back to a full-fleet pass (default
 	// 0.25). Values >= 1 never fall back.
 	RepackDirtyFrac float64
-	// RepackWorkers bounds the goroutines one incremental optimize pass
-	// fans its candidate groups across (0 = GOMAXPROCS, 1 = serial).
-	// Same contract as every other -parallel knob: output is
-	// byte-identical at any worker count, parallelism is wall-clock
-	// only.
-	RepackWorkers int
 	// PackCacheSize bounds the per-cluster packing cache in entries
 	// (0 = default 4096, negative = caching off). A cache hit returns
 	// the placement a fresh optimizer call would produce, so results
@@ -232,9 +225,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RepackDirtyFrac <= 0 {
 		c.RepackDirtyFrac = 0.25
-	}
-	if c.RepackWorkers <= 0 {
-		c.RepackWorkers = runtime.GOMAXPROCS(0)
 	}
 	if c.PackCacheSize == 0 {
 		c.PackCacheSize = defaultPackCacheSize
@@ -358,9 +348,9 @@ type Result struct {
 	OptimizerMoves   int // nodes retired + created by those passes
 	// Incremental-pass partition and packing-cache accounting.
 	// OptimizerGroups counts per-type candidate groups optimized (each
-	// one an independent unit of parallel work); hits and misses count
-	// packing-cache outcomes (both zero with the cache disabled —
-	// everything else in Result is identical either way).
+	// one cache probe, and one optimizer call on a miss); hits and
+	// misses count packing-cache outcomes (both zero with the cache
+	// disabled — everything else in Result is identical either way).
 	OptimizerGroups      int
 	OptimizerCacheHits   int
 	OptimizerCacheMisses int
@@ -488,7 +478,12 @@ type Cluster struct {
 	cat []cloudsim.VMType
 
 	pods     []podRun
-	podIndex map[string]int // pod ID → index (first occurrence)
+	podIndex map[string]int // pod ID → index (first occurrence); see podOf
+	// podBase is a restored branch's pod-ID index of the snapshot's
+	// pods, shared read-only with every branch of that snapshot (nil in
+	// a world New built); podIndex then holds only the pods the branch
+	// added. No ID is in both.
+	podBase map[string]int
 
 	// Pending queue: the heap in indexed mode, the sorted slice in
 	// reference mode. Exactly one is in use per run.
@@ -629,6 +624,15 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	return c
+}
+
+// podOf looks a pod index up by ID.
+func (c *Cluster) podOf(id string) (int, bool) {
+	if i, ok := c.podBase[id]; ok {
+		return i, true
+	}
+	i, ok := c.podIndex[id]
+	return i, ok
 }
 
 // Simulate is the one-shot convenience: New + Run.

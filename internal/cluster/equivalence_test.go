@@ -260,7 +260,7 @@ func TestSteadyStateFullAndIncrementalAgree(t *testing.T) {
 // repackWorkload builds a churned mixed-size workload (including pods
 // wider than the largest machine) big enough that incremental passes
 // carry several per-type candidate groups — the shape that actually
-// exercises the parallel fan-out and the packing cache.
+// exercises the grouped incremental pass and the packing cache.
 func repackWorkload(seed int64) []trace.Pod {
 	users := trace.Generate(churnConfig(seed, 8))
 	var pods []trace.Pod
@@ -281,53 +281,6 @@ func repackWorkload(seed int64) []trace.Pod {
 		})
 	}
 	return pods
-}
-
-// TestRepackWorkerCountEquivalence pins the parallel fan-out contract:
-// one incremental pass fans cache-missing candidate groups across
-// Config.RepackWorkers goroutines, and the Result and telemetry trace
-// must be byte-identical at any worker count — parallelism is a
-// wall-clock knob, never a behavior knob. Runs under churn, node kills
-// and provisioning faults so displacement-heavy repacks are covered.
-func TestRepackWorkerCountEquivalence(t *testing.T) {
-	sched, err := faults.ParseSpec("node/*:crash:p=0.02")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := cluster.Config{
-		Seed:      23,
-		Pods:      repackWorkload(23),
-		Policy:    cluster.Hostlo,
-		Horizon:   6 * time.Hour,
-		BootDelay: 30 * time.Second,
-		Faults:    sched,
-	}
-	var want cluster.Result
-	var wantTrace string
-	for i, workers := range []int{1, 2, 4, 8} {
-		cfg := base
-		cfg.RepackWorkers = workers
-		res, tr := runMode(t, cfg, false)
-		if i == 0 {
-			want, wantTrace = res, tr
-			continue
-		}
-		if !reflect.DeepEqual(res, want) {
-			t.Fatalf("workers=%d diverged from workers=1:\n%+v\nvs\n%+v", workers, res, want)
-		}
-		if tr != wantTrace {
-			t.Fatalf("workers=%d: telemetry diverged (%d vs %d bytes)", workers, len(tr), len(wantTrace))
-		}
-	}
-	if want.OptimizerRuns == want.OptimizerFull {
-		t.Fatal("every pass was full-fleet — the group fan-out went unexercised")
-	}
-	if want.OptimizerGroups < 2 {
-		t.Fatalf("only %d candidate groups across the run — nothing to fan out", want.OptimizerGroups)
-	}
-	if want.Kills == 0 {
-		t.Fatal("no node was killed — the fault path went unexercised")
-	}
 }
 
 // workerScenarioConfig is the churn + kills + faults scenario the

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"nestless/internal/cloudsim"
-	"nestless/internal/parallel"
 )
 
 // Hostlo re-optimisation. The paper's step-4 optimizer
@@ -25,11 +24,11 @@ import (
 // memoized (see optimizeGroups): candidates split into disjoint
 // per-catalog-type groups, each group sorted into its canonical
 // content order, looked up in the per-world packing cache, and only
-// the missing groups handed to cloudsim.OptimizeHostlo — fanned across
-// Config.RepackWorkers when more than one group missed. Group outputs
-// merge back in type order, so the improved placement is a pure
-// function of the candidate content: identical at any worker count and
-// with the cache on or off. Full passes stay exactly the original
+// the missing groups handed to cloudsim.OptimizeHostlo, one after the
+// other on the caller's goroutine: a pass misses on about 1.3 groups,
+// too few to pay for a goroutine fan-out. Group outputs merge back in
+// type order, so the improved placement is a pure function of the
+// candidate content: identical with the cache on or off. Full passes stay exactly the original
 // global optimizer call over the whole fleet in creation order — that
 // is what makes a drained no-churn cluster settle on the static
 // packer's fleet, so partitioning must never apply to them.
@@ -76,12 +75,9 @@ func (c *Cluster) optimize() {
 // optimizeGroups runs one incremental pass: the candidates are
 // partitioned into disjoint per-catalog-type groups, each group is
 // copied into the canonical arena and canonicalized, the packing cache
-// is probed serially in type order, cache misses are optimized (in
-// parallel across Config.RepackWorkers when at least two groups
-// missed — per-group optimization is a pure function, so fan-out
-// cannot change the output), fresh solutions are installed serially in
-// type order (deterministic LRU order), and the group outputs are
-// concatenated in type order.
+// is probed in type order, cache misses are optimized and their fresh
+// solutions installed in type order (deterministic LRU order), and the
+// group outputs are concatenated in type order.
 func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 	types := len(c.cat)
 	if cap(c.typeCount) < types {
@@ -139,22 +135,10 @@ func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 		outs = append(outs, nil)
 		miss = append(miss, int32(gi))
 	}
-	// Compute phase: misses only. cloudsim.OptimizeHostlo copies its
-	// input into a private fleet and shares nothing with the cluster,
-	// so miss groups optimize concurrently; index-slot writes keep the
-	// merge order worker-independent.
-	if len(miss) >= 2 && c.cfg.RepackWorkers > 1 {
-		parallel.Run(len(miss), c.cfg.RepackWorkers, func(k int) {
-			gi := miss[k]
-			outs[gi] = cloudsim.OptimizeHostlo(groups[gi], c.cat)
-		})
-	} else {
-		for _, gi := range miss {
-			outs[gi] = cloudsim.OptimizeHostlo(groups[gi], c.cat)
-		}
-	}
-	// Serial install phase, in type order.
+	// Misses are optimized and installed in type order, on the caller's
+	// goroutine (deterministic LRU order).
 	for _, gi := range miss {
+		outs[gi] = cloudsim.OptimizeHostlo(groups[gi], c.cat)
 		c.pack.Put(groups[gi], outs[gi])
 	}
 	c.outScratch = outs
@@ -367,7 +351,7 @@ func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM) {
 	// Phase 3: apply.
 	relink := func(n *node) {
 		for _, it := range n.items {
-			if i, ok := c.podIndex[it.Pod]; ok {
+			if i, ok := c.podOf(it.Pod); ok {
 				c.podNodeLink(i, n.id)
 			}
 		}
@@ -464,7 +448,7 @@ func (c *Cluster) unlinkPods(touched []*node) {
 	}
 	for _, n := range touched {
 		for _, it := range n.items {
-			i, ok := c.podIndex[it.Pod]
+			i, ok := c.podOf(it.Pod)
 			if !ok || c.podMark[i] == gen {
 				continue
 			}

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"sync"
 	"time"
 
 	"nestless/internal/cloudsim"
@@ -84,6 +88,12 @@ type QueueSnap struct {
 // Snapshot is a frozen world: pure data, no closures, no engine. It can
 // be restored any number of times (concurrently) and serialized by
 // internal/snapshot's codec.
+//
+// A snapshot is read-only once built. Capture and the codec's Decode
+// always return a fresh one; its first Restore validates it and derives
+// the state every branch shares, and later Restores reuse both, so an
+// edit made after the first Restore would never reach a branch. A
+// Snapshot holds a sync.Once and must not be copied by value.
 type Snapshot struct {
 	// Cfg is the normalized run configuration with the workload and
 	// recorder stripped: pods live in Pods (with runtime state), the
@@ -125,6 +135,11 @@ type Snapshot struct {
 
 	Inj  *faults.InjectorState
 	Pack *cloudsim.PackCacheState
+
+	// derive guards base, the restore state derived on the first
+	// Restore (see restoreBase).
+	derive sync.Once
+	base   *restoreBase
 }
 
 // EventSnap is one pending typed event, the serializable ledger entry.
@@ -259,15 +274,19 @@ type RestoreOpts struct {
 
 // Restore builds a live world from a snapshot. The snapshot is only
 // read — never mutated — so concurrent Restores from one snapshot are
-// safe; each branch deep-copies the mutable state and shares the
-// immutables (pod definitions, catalog, fault schedule, packing-cache
-// entry slices). Corrupt snapshots (a hostile decode) return an error,
-// never panic.
+// safe. The first Restore validates the snapshot and derives the state
+// every branch shares (see restoreBase); each Restore then copies only
+// what its branch may mutate and shares the rest (pod definitions,
+// catalog, fault schedule, packing-cache entry slices, node names).
+// Corrupt snapshots (a hostile decode) return an error, never panic —
+// the same error on every Restore.
 func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
-	cfg := s.Cfg
-	cfg.Pods = nil
+	base := s.restoreBase()
+	if base.err != nil {
+		return nil, base.err
+	}
+	cfg := base.cfg
 	cfg.Rec = o.Rec
-	cfg = cfg.withDefaults()
 	switched := false
 	if o.Policy != nil && *o.Policy != cfg.Policy {
 		cfg.Policy = *o.Policy
@@ -275,121 +294,6 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	}
 	if o.Faults != nil {
 		cfg.Faults = o.Faults
-	}
-	nPods, nNodes, nTypes := len(s.Pods), len(s.Nodes), len(cfg.Catalog)
-
-	// Structural validation up front: everything indexed later must be
-	// in range, so a hostile snapshot fails cleanly here.
-	if nNodes > 0 && nTypes == 0 {
-		return nil, fmt.Errorf("cluster: snapshot has %d nodes but an empty catalog", nNodes)
-	}
-	for i := range s.Nodes {
-		if t := int(s.Nodes[i].Typ); t < 0 || t >= nTypes {
-			return nil, fmt.Errorf("cluster: node %d type %d out of catalog range %d", i, t, nTypes)
-		}
-		if z := int(s.Nodes[i].Zone); z < 0 || z >= cfg.Zones {
-			return nil, fmt.Errorf("cluster: node %d zone %d out of range %d", i, z, cfg.Zones)
-		}
-	}
-	if s.OdFallback < 0 {
-		return nil, fmt.Errorf("cluster: negative on-demand fallback credit %d", s.OdFallback)
-	}
-	if s.TrajWin.Points < 0 || s.TrajWin.Points >= trajStride(cfg) {
-		return nil, fmt.Errorf("cluster: trajectory window holds %d points of a %d-wide stride", s.TrajWin.Points, trajStride(cfg))
-	}
-	for i := range s.Pods {
-		ps := &s.Pods[i]
-		if ps.State < int8(statePending) || ps.State > int8(stateTransferred) {
-			return nil, fmt.Errorf("cluster: pod %d state %d out of range", i, ps.State)
-		}
-		for _, nid := range ps.OnNodes {
-			if nid < 0 || int(nid) >= nNodes {
-				return nil, fmt.Errorf("cluster: pod %d placement map names node %d of %d", i, nid, nNodes)
-			}
-		}
-	}
-	liveSeen := make(map[int32]bool, len(s.LiveList))
-	for _, nid := range s.LiveList {
-		if nid < 0 || int(nid) >= nNodes {
-			return nil, fmt.Errorf("cluster: live list names node %d of %d", nid, nNodes)
-		}
-		if liveSeen[nid] {
-			return nil, fmt.Errorf("cluster: live list names node %d twice", nid)
-		}
-		liveSeen[nid] = true
-	}
-	liveCount, deadInList := 0, 0
-	for i := range s.Nodes {
-		if s.Nodes[i].Live {
-			liveCount++
-			if !liveSeen[int32(i)] {
-				return nil, fmt.Errorf("cluster: live node %d missing from the live list", i)
-			}
-		}
-	}
-	for _, nid := range s.LiveList {
-		if !s.Nodes[nid].Live {
-			deadInList++
-		}
-	}
-	if deadInList != s.DeadLive {
-		return nil, fmt.Errorf("cluster: %d dead live-list entries, DeadLive says %d", deadInList, s.DeadLive)
-	}
-	for _, nid := range s.DirtyList {
-		if nid < 0 || int(nid) >= nNodes {
-			return nil, fmt.Errorf("cluster: dirty list names node %d of %d", nid, nNodes)
-		}
-	}
-	if s.BlockedPod < -1 || s.BlockedPod >= nPods {
-		return nil, fmt.Errorf("cluster: blocked pod %d out of range %d", s.BlockedPod, nPods)
-	}
-	for _, q := range s.RefQueue {
-		if q < 0 || int(q) >= nPods {
-			return nil, fmt.Errorf("cluster: queue entry names pod %d of %d", q, nPods)
-		}
-	}
-	for _, e := range s.PQ {
-		if e.Idx < 0 || int(e.Idx) >= nPods {
-			return nil, fmt.Errorf("cluster: heap entry names pod %d of %d", e.Idx, nPods)
-		}
-	}
-	provPending := 0
-	for _, ev := range s.Events {
-		if ev.Kind == 0 || evKind(ev.Kind) >= evKindMax {
-			return nil, fmt.Errorf("cluster: unknown pending event kind %d", ev.Kind)
-		}
-		if ev.At < s.Eng.Now {
-			return nil, fmt.Errorf("cluster: pending event at %v before the captured clock %v", ev.At, s.Eng.Now)
-		}
-		switch evKind(ev.Kind) {
-		case evArrive, evDepart, evEnd, evAdopt:
-			if ev.A < 0 || ev.A >= int64(nPods) {
-				return nil, fmt.Errorf("cluster: pending %d event names pod %d of %d", ev.Kind, ev.A, nPods)
-			}
-		case evProvRetry, evNodeReady:
-			if ev.A < 0 || ev.A >= int64(nTypes) {
-				return nil, fmt.Errorf("cluster: pending %d event names type %d of %d", ev.Kind, ev.A, nTypes)
-			}
-			if ev.B < 0 || ev.B>>1 >= int64(cfg.Zones) {
-				return nil, fmt.Errorf("cluster: pending %d event names zone %d of %d", ev.Kind, ev.B>>1, cfg.Zones)
-			}
-			provPending++
-		}
-	}
-	if provPending != s.Inflight {
-		return nil, fmt.Errorf("cluster: %d provisioning events pending, Inflight says %d", provPending, s.Inflight)
-	}
-	if s.Pack != nil {
-		for ei := range s.Pack.Entries {
-			e := &s.Pack.Entries[ei]
-			for _, vms := range [2][]cloudsim.PlacedVM{e.Input, e.Output} {
-				for _, vm := range vms {
-					if vm.Type < 0 || vm.Type >= nTypes {
-						return nil, fmt.Errorf("cluster: pack cache entry %d names type %d of %d", ei, vm.Type, nTypes)
-					}
-				}
-			}
-		}
 	}
 
 	eng := sim.RestoreEngine(s.Eng)
@@ -406,9 +310,8 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 			return nil, err
 		}
 	}
-	pack, err := cloudsim.RestorePackCache(s.Pack)
-	if err != nil {
-		return nil, err
+	if base.packErr != nil {
+		return nil, base.packErr
 	}
 
 	c := &Cluster{
@@ -428,9 +331,9 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		started:    s.Started,
 		finalized:  s.Finalized,
 		deadLive:   s.DeadLive,
-		pack:       pack,
-		ledger:     make(map[uint64]ledgerEvent, len(s.Events)),
-		trajStride: trajStride(cfg),
+		pack:       base.pack.Restore(),
+		ledger:     make(map[uint64]ledgerEvent, len(base.events)),
+		trajStride: base.trajStride,
 		trajWin:    s.TrajWin,
 	}
 	c.fireFn = c.fireBySeq
@@ -441,12 +344,16 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	c.tts.SetState(s.TTS)
 
 	// Pods: runtime state verbatim, derived sums recomputed (canonical
-	// container-order accumulation, identical to New's).
-	c.pods = make([]podRun, nPods)
-	c.podIndex = make(map[string]int, nPods)
+	// container-order accumulation, identical to New's); the placement
+	// maps share one private arena (unlinkPods edits them in place).
+	c.pods = make([]podRun, len(s.Pods))
+	c.podBase = base.podIndex
+	c.podIndex = make(map[string]int)
+	onNodes := make([]int, 0, base.onNodes)
 	for i := range s.Pods {
 		ps := &s.Pods[i]
-		p := podRun{
+		p := &c.pods[i]
+		*p = podRun{
 			pod:           ps.Pod,
 			user:          ps.User,
 			cpu:           ps.Pod.TotalCPU(),
@@ -461,42 +368,46 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 			displaced:     ps.Displaced,
 		}
 		if len(ps.OnNodes) > 0 {
-			p.onNodes = make([]int, len(ps.OnNodes))
-			for k, nid := range ps.OnNodes {
-				p.onNodes[k] = int(nid)
+			start := len(onNodes)
+			for _, nid := range ps.OnNodes {
+				onNodes = append(onNodes, int(nid))
 			}
-		}
-		c.pods[i] = p
-		if _, dup := c.podIndex[ps.Pod.ID]; !dup {
-			c.podIndex[ps.Pod.ID] = i
+			p.onNodes = onNodes[start:len(onNodes):len(onNodes)]
 		}
 	}
 
-	// Nodes: identity and items verbatim, used sums by canonical
-	// recompute, index keys from the recomputed sums (treap shape is
-	// history-independent, so insertion in id order reproduces the
-	// query structure; the version counter restores explicitly).
+	// Nodes: identity and items verbatim in one node arena and one item
+	// arena (stripPod edits items in place), used sums by canonical
+	// recompute, names and fault points from the derived state. The
+	// capacity index rebuilds from the live fleet (treap shape is
+	// history-independent, so insertion in id order reproduces the query
+	// structure; the version counter restores explicitly).
 	c.initZones()
-	c.nodes = make([]*node, nNodes)
+	arena := make([]node, len(s.Nodes))
+	c.nodes = make([]*node, len(s.Nodes))
+	items := make([]cloudsim.PlacedItem, 0, base.items)
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
-		n := &node{
-			id:        i,
-			name:      fmt.Sprintf("n%d", i),
-			typ:       int(ns.Typ),
-			zone:      int(ns.Zone),
-			spot:      ns.Spot,
-			bornAt:    ns.BornAt,
-			idleSince: ns.IdleSince,
-			live:      ns.Live,
-			items:     append([]cloudsim.PlacedItem(nil), ns.Items...),
-		}
-		n.faultPoint = "node/" + n.name
-		if n.spot {
-			n.spotPoint = "spot/" + n.name
+		n := &arena[i]
+		*n = node{
+			id:         i,
+			name:       base.nodePoints[i][len("node/"):],
+			typ:        int(ns.Typ),
+			zone:       int(ns.Zone),
+			spot:       ns.Spot,
+			bornAt:     ns.BornAt,
+			idleSince:  ns.IdleSince,
+			live:       ns.Live,
+			faultPoint: base.nodePoints[i],
+			spotPoint:  base.spotPoints[i],
 		}
 		n.priceH = c.price(n.typ, n.zone, n.spot)
-		n.recompute()
+		if len(ns.Items) > 0 {
+			start := len(items)
+			items = append(items, ns.Items...)
+			n.items = items[start:len(items):len(items)]
+			n.recompute()
+		}
 		c.nodes[i] = n
 		if n.live {
 			c.zoneLive[n.zone]++
@@ -506,7 +417,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 			c.touchNode(n)
 		}
 	}
-	c.liveCount = liveCount
+	c.liveCount = base.liveCount
 	if !cfg.Reference {
 		c.idx.ver = s.IdxVer
 	}
@@ -539,9 +450,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 	// Replay the pending event set in ascending original-seq order:
 	// relative order — the only observable part of a sequence number —
 	// is preserved under the fresh seqs At assigns.
-	evs := append([]EventSnap(nil), s.Events...)
-	sort.Slice(evs, func(a, b int) bool { return evs[a].Seq < evs[b].Seq })
-	for _, ev := range evs {
+	for _, ev := range base.events {
 		c.schedEvent(ev.At, evKind(ev.Kind), ev.A, ev.B)
 	}
 
@@ -559,6 +468,220 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 
 	o.Rec.Rebind(eng)
 	return c, nil
+}
+
+// restoreBase is what every branch restored from one snapshot shares:
+// the validation verdict and the read-only state derived from the
+// snapshot alone. It is built on the snapshot's first Restore, so a
+// Restore copies the branch's mutable state and re-derives nothing:
+// no snapshot check, no packing-cache key, no pod-ID map insertion
+// order, no node name.
+type restoreBase struct {
+	err error // the validation verdict; nothing below is set when non-nil
+
+	cfg        Config // Cfg with defaults filled, no workload, no recorder
+	trajStride int
+	liveCount  int
+
+	// pack keys the captured packing cache; packErr is its error,
+	// reported after the fault injector's, as Restore always has.
+	pack    *cloudsim.PackCacheIndex
+	packErr error
+
+	podIndex map[string]int // pod ID → first index; branches share it (Cluster.podBase)
+	onNodes  int            // placement-map entries over all pods
+	items    int            // placed items over all nodes
+
+	// nodePoints[i] is node i's fault point "node/<name>" (the name is
+	// its suffix); spotPoints[i] is "spot/<name>" for a spot node, else
+	// "". All of them share one string.
+	nodePoints []string
+	spotPoints []string
+
+	events []EventSnap // pending events, ascending Seq
+}
+
+// restoreBase returns the snapshot's derived restore state, building it
+// on first use. Concurrent first Restores build it once.
+func (s *Snapshot) restoreBase() *restoreBase {
+	s.derive.Do(func() { s.base = s.deriveBase() })
+	return s.base
+}
+
+// deriveBase validates the snapshot and derives the shared restore
+// state.
+func (s *Snapshot) deriveBase() *restoreBase {
+	cfg := s.Cfg
+	cfg.Pods = nil
+	cfg.Rec = nil
+	cfg = cfg.withDefaults()
+	liveCount, err := s.validate(cfg)
+	if err != nil {
+		return &restoreBase{err: err}
+	}
+	b := &restoreBase{cfg: cfg, trajStride: trajStride(cfg), liveCount: liveCount}
+	b.pack, b.packErr = cloudsim.IndexPackCache(s.Pack)
+
+	b.podIndex = make(map[string]int, len(s.Pods))
+	for i := range s.Pods {
+		ps := &s.Pods[i]
+		b.onNodes += len(ps.OnNodes)
+		if _, dup := b.podIndex[ps.Pod.ID]; !dup {
+			b.podIndex[ps.Pod.ID] = i
+		}
+	}
+
+	// Every fault point is a slice of one buffer: one allocation for
+	// the whole fleet's names.
+	var buf []byte
+	ends := make([]int, 0, 2*len(s.Nodes))
+	for i := range s.Nodes {
+		b.items += len(s.Nodes[i].Items)
+		buf = strconv.AppendInt(append(buf, "node/n"...), int64(i), 10)
+		ends = append(ends, len(buf))
+		if s.Nodes[i].Spot {
+			buf = strconv.AppendInt(append(buf, "spot/n"...), int64(i), 10)
+		}
+		ends = append(ends, len(buf))
+	}
+	all := string(buf)
+	b.nodePoints = make([]string, len(s.Nodes))
+	b.spotPoints = make([]string, len(s.Nodes))
+	start := 0
+	for i := range s.Nodes {
+		b.nodePoints[i] = all[start:ends[2*i]]
+		b.spotPoints[i] = all[ends[2*i]:ends[2*i+1]]
+		start = ends[2*i+1]
+	}
+
+	// Capture records events in ascending Seq already; only a snapshot
+	// from elsewhere needs a sorted copy.
+	b.events = s.Events
+	byseq := func(x, y EventSnap) int { return cmp.Compare(x.Seq, y.Seq) }
+	if !slices.IsSortedFunc(b.events, byseq) {
+		b.events = slices.Clone(s.Events)
+		slices.SortFunc(b.events, byseq)
+	}
+	return b
+}
+
+// validate is the structural check of a snapshot against its defaulted
+// config: everything Restore indexes must be in range, so a hostile
+// snapshot fails cleanly here.
+func (s *Snapshot) validate(cfg Config) (liveCount int, err error) {
+	nPods, nNodes, nTypes := len(s.Pods), len(s.Nodes), len(cfg.Catalog)
+	if nNodes > 0 && nTypes == 0 {
+		return 0, fmt.Errorf("cluster: snapshot has %d nodes but an empty catalog", nNodes)
+	}
+	for i := range s.Nodes {
+		if t := int(s.Nodes[i].Typ); t < 0 || t >= nTypes {
+			return 0, fmt.Errorf("cluster: node %d type %d out of catalog range %d", i, t, nTypes)
+		}
+		if z := int(s.Nodes[i].Zone); z < 0 || z >= cfg.Zones {
+			return 0, fmt.Errorf("cluster: node %d zone %d out of range %d", i, z, cfg.Zones)
+		}
+	}
+	if s.OdFallback < 0 {
+		return 0, fmt.Errorf("cluster: negative on-demand fallback credit %d", s.OdFallback)
+	}
+	if s.TrajWin.Points < 0 || s.TrajWin.Points >= trajStride(cfg) {
+		return 0, fmt.Errorf("cluster: trajectory window holds %d points of a %d-wide stride", s.TrajWin.Points, trajStride(cfg))
+	}
+	for i := range s.Pods {
+		ps := &s.Pods[i]
+		if ps.State < int8(statePending) || ps.State > int8(stateTransferred) {
+			return 0, fmt.Errorf("cluster: pod %d state %d out of range", i, ps.State)
+		}
+		for _, nid := range ps.OnNodes {
+			if nid < 0 || int(nid) >= nNodes {
+				return 0, fmt.Errorf("cluster: pod %d placement map names node %d of %d", i, nid, nNodes)
+			}
+		}
+	}
+	liveSeen := make(map[int32]bool, len(s.LiveList))
+	for _, nid := range s.LiveList {
+		if nid < 0 || int(nid) >= nNodes {
+			return 0, fmt.Errorf("cluster: live list names node %d of %d", nid, nNodes)
+		}
+		if liveSeen[nid] {
+			return 0, fmt.Errorf("cluster: live list names node %d twice", nid)
+		}
+		liveSeen[nid] = true
+	}
+	deadInList := 0
+	for i := range s.Nodes {
+		if s.Nodes[i].Live {
+			liveCount++
+			if !liveSeen[int32(i)] {
+				return 0, fmt.Errorf("cluster: live node %d missing from the live list", i)
+			}
+		}
+	}
+	for _, nid := range s.LiveList {
+		if !s.Nodes[nid].Live {
+			deadInList++
+		}
+	}
+	if deadInList != s.DeadLive {
+		return 0, fmt.Errorf("cluster: %d dead live-list entries, DeadLive says %d", deadInList, s.DeadLive)
+	}
+	for _, nid := range s.DirtyList {
+		if nid < 0 || int(nid) >= nNodes {
+			return 0, fmt.Errorf("cluster: dirty list names node %d of %d", nid, nNodes)
+		}
+	}
+	if s.BlockedPod < -1 || s.BlockedPod >= nPods {
+		return 0, fmt.Errorf("cluster: blocked pod %d out of range %d", s.BlockedPod, nPods)
+	}
+	for _, q := range s.RefQueue {
+		if q < 0 || int(q) >= nPods {
+			return 0, fmt.Errorf("cluster: queue entry names pod %d of %d", q, nPods)
+		}
+	}
+	for _, e := range s.PQ {
+		if e.Idx < 0 || int(e.Idx) >= nPods {
+			return 0, fmt.Errorf("cluster: heap entry names pod %d of %d", e.Idx, nPods)
+		}
+	}
+	provPending := 0
+	for _, ev := range s.Events {
+		if ev.Kind == 0 || evKind(ev.Kind) >= evKindMax {
+			return 0, fmt.Errorf("cluster: unknown pending event kind %d", ev.Kind)
+		}
+		if ev.At < s.Eng.Now {
+			return 0, fmt.Errorf("cluster: pending event at %v before the captured clock %v", ev.At, s.Eng.Now)
+		}
+		switch evKind(ev.Kind) {
+		case evArrive, evDepart, evEnd, evAdopt:
+			if ev.A < 0 || ev.A >= int64(nPods) {
+				return 0, fmt.Errorf("cluster: pending %d event names pod %d of %d", ev.Kind, ev.A, nPods)
+			}
+		case evProvRetry, evNodeReady:
+			if ev.A < 0 || ev.A >= int64(nTypes) {
+				return 0, fmt.Errorf("cluster: pending %d event names type %d of %d", ev.Kind, ev.A, nTypes)
+			}
+			if ev.B < 0 || ev.B>>1 >= int64(cfg.Zones) {
+				return 0, fmt.Errorf("cluster: pending %d event names zone %d of %d", ev.Kind, ev.B>>1, cfg.Zones)
+			}
+			provPending++
+		}
+	}
+	if provPending != s.Inflight {
+		return 0, fmt.Errorf("cluster: %d provisioning events pending, Inflight says %d", provPending, s.Inflight)
+	}
+	if s.Pack != nil {
+		for ei := range s.Pack.Entries {
+			e := &s.Pack.Entries[ei]
+			for _, vms := range [2][]cloudsim.PlacedVM{e.Input, e.Output} {
+				for _, vm := range vms {
+					if vm.Type < 0 || vm.Type >= nTypes {
+						return 0, fmt.Errorf("cluster: pack cache entry %d names type %d of %d", ei, vm.Type, nTypes)
+					}
+				}
+			}
+		}
+	}
+	return liveCount, nil
 }
 
 // Fork captures the world and restores an independent branch in one
@@ -584,7 +707,7 @@ func (c *Cluster) AdoptPods(pods []trace.Pod) error {
 		return fmt.Errorf("cluster: adopting pods at %v, past the horizon %v", now, c.cfg.Horizon)
 	}
 	for _, p := range pods {
-		if _, dup := c.podIndex[p.ID]; dup {
+		if _, dup := c.podOf(p.ID); dup {
 			return fmt.Errorf("cluster: adopt duplicate pod %s", p.ID)
 		}
 		i := len(c.pods)

@@ -80,7 +80,7 @@ func (c *Cluster) FeedEvent(ev ctrace.Event) error {
 			c.NoteBeyondHorizon()
 			return nil
 		}
-		if _, dup := c.podIndex[ev.Pod]; dup {
+		if _, dup := c.podOf(ev.Pod); dup {
 			return fmt.Errorf("cluster: duplicate pod %s", ev.Pod)
 		}
 		i := len(c.pods)
@@ -97,7 +97,7 @@ func (c *Cluster) FeedEvent(ev ctrace.Event) error {
 		if ev.Time > c.cfg.Horizon {
 			return nil
 		}
-		i, ok := c.podIndex[ev.Pod]
+		i, ok := c.podOf(ev.Pod)
 		if !ok {
 			c.count("cluster/end_unknown")
 			return nil
@@ -247,7 +247,7 @@ func (c *Cluster) TransferOut(olderThan time.Duration) []Transfer {
 // returning to a world it left earlier re-animates its retired entry —
 // the transfer books stay balanced because both legs were counted.
 func (c *Cluster) InjectTransfer(tr Transfer) error {
-	if i, ok := c.podIndex[tr.Pod.ID]; ok {
+	if i, ok := c.podOf(tr.Pod.ID); ok {
 		p := &c.pods[i]
 		if p.state != stateTransferred {
 			return fmt.Errorf("cluster: transfer-in duplicate pod %s (%v here)", tr.Pod.ID, p.state)

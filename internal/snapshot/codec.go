@@ -37,7 +37,9 @@ const magic = "NLW1"
 // v3 added the trajectory downsampler: Config.SampleCap, the per-Sample
 // window aggregates (Points and the Sum* fields), and the open partial
 // window (Snapshot.TrajWin).
-const version = 3
+// v4 dropped Config.RepackWorkers: the incremental repack runs on the
+// caller's goroutine and has no worker count left to carry.
+const version = 4
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -77,7 +79,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.bool(s.Cfg.Reference)
 	e.bool(s.Cfg.FullRepack)
 	e.f64(s.Cfg.RepackDirtyFrac)
-	e.varint(int64(s.Cfg.RepackWorkers))
 	e.varint(int64(s.Cfg.PackCacheSize))
 	e.varint(int64(s.Cfg.SampleCap))
 	e.varint(int64(s.Cfg.Zones))
@@ -300,7 +301,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.Cfg.Reference = d.bool()
 	s.Cfg.FullRepack = d.bool()
 	s.Cfg.RepackDirtyFrac = d.f64()
-	s.Cfg.RepackWorkers = int(d.varint())
 	s.Cfg.PackCacheSize = int(d.varint())
 	s.Cfg.SampleCap = int(d.varint())
 	s.Cfg.Zones = int(d.varint())

@@ -40,7 +40,8 @@ func fuzzSeedSnapshot(tb testing.TB) []byte {
 // anything it accepts re-encodes canonically (Encode∘Decode is a
 // fixpoint after one round); and cluster.Restore on an accepted
 // snapshot either errors cleanly or builds a world — hostile bytes can
-// produce a garbage world, but never a crash.
+// produce a garbage world, but never a crash — and a second Restore of
+// the same snapshot gives the same verdict.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	valid := fuzzSeedSnapshot(f)
 	f.Add(valid)
@@ -86,8 +87,15 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if s.Eng.Rand.Draws > maxFuzzDraws || (s.Inj != nil && s.Inj.Rand.Draws > maxFuzzDraws) {
 			return
 		}
-		if c, err := cluster.Restore(s, cluster.RestoreOpts{}); err == nil {
-			_ = c.Now()
+		// The second Restore reuses the first one's memoized verdict and
+		// derived state: it must agree with the first exactly.
+		c1, err1 := cluster.Restore(s, cluster.RestoreOpts{})
+		c2, err2 := cluster.Restore(s, cluster.RestoreOpts{})
+		if (err1 == nil) != (err2 == nil) || (err1 != nil && err1.Error() != err2.Error()) {
+			t.Fatalf("first Restore: %v; second Restore: %v", err1, err2)
+		}
+		if err1 == nil && c1.Now() != c2.Now() {
+			t.Fatalf("two restores of one snapshot differ")
 		}
 	})
 }

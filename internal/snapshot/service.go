@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -437,8 +438,14 @@ func (s *Service) Stats() Stats {
 	return st
 }
 
-// Handler returns the HTTP face: POST /whatif answers queries, GET
-// /stats reports counters, GET /base reports the uninterrupted run.
+// maxQueryBytes bounds a POST /whatif body. A query is a few hundred
+// bytes of JSON; even an explicit kill list of thousands of node names
+// stays far below it.
+const maxQueryBytes = 1 << 20
+
+// Handler returns the HTTP face: POST /whatif answers queries (a body
+// over maxQueryBytes gets 413), GET /stats reports counters, GET /base
+// reports the uninterrupted run.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/whatif", func(w http.ResponseWriter, r *http.Request) {
@@ -447,9 +454,15 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		var q Query
+		r.Body = http.MaxBytesReader(w, r.Body, maxQueryBytes)
 		if err := json.NewDecoder(r.Body).Decode(&q); err != nil {
 			s.countErr()
-			httpErr(w, http.StatusBadRequest, err.Error())
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			httpErr(w, code, err.Error())
 			return
 		}
 		rep, err := s.Run(q)

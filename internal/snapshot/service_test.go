@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -252,4 +253,32 @@ func TestServiceScale100K(t *testing.T) {
 	st = svc.Stats()
 	t.Logf("%d branch queries in %v — warm cache %d hits / %d misses (rate %.2f)",
 		total, time.Since(start).Round(time.Millisecond), st.WarmHits, st.WarmMisses, st.WarmHitRate)
+}
+
+// TestServiceRejectsOversizeQuery: a POST /whatif body over the 1 MiB
+// bound gets 413 and counts as an error; the next normal query on the
+// same handler is answered as usual.
+func TestServiceRejectsOversizeQuery(t *testing.T) {
+	svc := newTestService(t)
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/whatif", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /whatif: %v", err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode
+	}
+	huge := []byte(`{"kind":"kill-nodes","nodes":["` + strings.Repeat("n", 2<<20) + `"]}`)
+	if code := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("2 MiB query: status %d, want 413", code)
+	}
+	if code := post([]byte(`{"kind":"baseline"}`)); code != http.StatusOK {
+		t.Errorf("query after the oversize one: status %d, want 200", code)
+	}
+	if st := svc.Stats(); st.Errors != 1 || st.Queries != 1 {
+		t.Errorf("stats: %d queries / %d errors, want 1 / 1", st.Queries, st.Errors)
+	}
 }
