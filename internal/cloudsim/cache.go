@@ -236,9 +236,9 @@ type PackCacheEntry struct {
 
 // PackCacheState is the complete state of a PackCache: capacity, the
 // entries in recency order (most recently used first), and the lifetime
-// counters. It is the snapshot form — RestorePackCache rebuilds an
-// identical cache, and because the entry slices are immutable the state
-// can share them with a live cache.
+// counters. It is the snapshot form — a PackCacheIndex of it restores
+// an identical cache, and because the entry slices are immutable the
+// state can share them with a live cache.
 type PackCacheState struct {
 	Cap       int
 	Entries   []PackCacheEntry
@@ -269,23 +269,11 @@ func (pc *PackCache) State() *PackCacheState {
 	return st
 }
 
-// RestorePackCache rebuilds a cache from a captured state, sharing the
-// entry slices copy-on-write (the cache never mutates installed slices,
-// so N restored branches and the original can all hold the same
-// backing arrays). A nil state, or one with a non-positive capacity,
-// restores the nil always-miss cache.
-func RestorePackCache(st *PackCacheState) (*PackCache, error) {
-	ix, err := IndexPackCache(st)
-	if err != nil {
-		return nil, err
-	}
-	return ix.Restore(), nil
-}
-
 // PackCacheIndex is a captured state with every entry's key computed,
 // checked duplicate-free and mapped to its position: the part of a
 // restore that hashes. It is read-only, so one index restores any
-// number of caches, concurrently, and they all share its key map.
+// number of caches, concurrently, and they all share its key map and
+// the state's entry slices (the cache never mutates installed slices).
 type PackCacheIndex struct {
 	st    *PackCacheState
 	keys  []packKey         // keys[i] = GroupKey(st.Entries[i].Input)

@@ -25,13 +25,14 @@ import (
 // per-catalog-type groups, each group sorted into its canonical
 // content order, looked up in the per-world packing cache, and only
 // the missing groups handed to cloudsim.OptimizeHostlo, one after the
-// other on the caller's goroutine: a pass misses on about 1.3 groups,
-// too few to pay for a goroutine fan-out. Group outputs merge back in
-// type order, so the improved placement is a pure function of the
-// candidate content: identical with the cache on or off. Full passes stay exactly the original
-// global optimizer call over the whole fleet in creation order — that
-// is what makes a drained no-churn cluster settle on the static
-// packer's fleet, so partitioning must never apply to them.
+// other on the caller's goroutine (a pass misses on about 1.3 groups,
+// too few to pay for a goroutine fan-out; DESIGN §13). Group outputs
+// merge back in type order, so the improved placement is a pure
+// function of the candidate content: identical with the cache on or
+// off. Full passes stay exactly the original global optimizer call
+// over the whole fleet in creation order — that is what makes a
+// drained no-churn cluster settle on the static packer's fleet, so
+// partitioning must never apply to them.
 
 // minNeighborhood is the floor on how many consolidation targets an
 // incremental pass considers alongside the dirty set.

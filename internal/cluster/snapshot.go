@@ -473,9 +473,8 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 // restoreBase is what every branch restored from one snapshot shares:
 // the validation verdict and the read-only state derived from the
 // snapshot alone. It is built on the snapshot's first Restore, so a
-// Restore copies the branch's mutable state and re-derives nothing:
-// no snapshot check, no packing-cache key, no pod-ID map insertion
-// order, no node name.
+// Restore copies the branch's mutable state and re-derives nothing: no
+// snapshot check, no packing-cache key, no pod-ID map, no node name.
 type restoreBase struct {
 	err error // the validation verdict; nothing below is set when non-nil
 
@@ -494,7 +493,7 @@ type restoreBase struct {
 
 	// nodePoints[i] is node i's fault point "node/<name>" (the name is
 	// its suffix); spotPoints[i] is "spot/<name>" for a spot node, else
-	// "". All of them share one string.
+	// "".
 	nodePoints []string
 	spotPoints []string
 
@@ -531,37 +530,19 @@ func (s *Snapshot) deriveBase() *restoreBase {
 		}
 	}
 
-	// Every fault point is a slice of one buffer: one allocation for
-	// the whole fleet's names.
-	var buf []byte
-	ends := make([]int, 0, 2*len(s.Nodes))
-	for i := range s.Nodes {
-		b.items += len(s.Nodes[i].Items)
-		buf = strconv.AppendInt(append(buf, "node/n"...), int64(i), 10)
-		ends = append(ends, len(buf))
-		if s.Nodes[i].Spot {
-			buf = strconv.AppendInt(append(buf, "spot/n"...), int64(i), 10)
-		}
-		ends = append(ends, len(buf))
-	}
-	all := string(buf)
 	b.nodePoints = make([]string, len(s.Nodes))
 	b.spotPoints = make([]string, len(s.Nodes))
-	start := 0
 	for i := range s.Nodes {
-		b.nodePoints[i] = all[start:ends[2*i]]
-		b.spotPoints[i] = all[ends[2*i]:ends[2*i+1]]
-		start = ends[2*i+1]
+		b.items += len(s.Nodes[i].Items)
+		name := "n" + strconv.Itoa(i)
+		b.nodePoints[i] = "node/" + name
+		if s.Nodes[i].Spot {
+			b.spotPoints[i] = "spot/" + name
+		}
 	}
 
-	// Capture records events in ascending Seq already; only a snapshot
-	// from elsewhere needs a sorted copy.
-	b.events = s.Events
-	byseq := func(x, y EventSnap) int { return cmp.Compare(x.Seq, y.Seq) }
-	if !slices.IsSortedFunc(b.events, byseq) {
-		b.events = slices.Clone(s.Events)
-		slices.SortFunc(b.events, byseq)
-	}
+	b.events = slices.Clone(s.Events)
+	slices.SortFunc(b.events, func(x, y EventSnap) int { return cmp.Compare(x.Seq, y.Seq) })
 	return b
 }
 

@@ -102,3 +102,31 @@ func BenchmarkSnapshotFork(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkBranchRestore measures Restore alone — no continuation — on
+// the what-if benchmark's base-world shape (Hostlo, arrivals spread over
+// the horizon, node crashes, snapshot in steady state at 5 h).
+func BenchmarkBranchRestore(b *testing.B) {
+	svc, err := NewService(BaseConfig{
+		Seed:           4,
+		Users:          200,
+		MeanArrivalGap: 40 * time.Minute,
+		MeanLifetime:   45 * time.Minute,
+		Policy:         cluster.Hostlo,
+		Horizon:        8 * time.Hour,
+		SnapAt:         5 * time.Hour,
+		BootDelay:      45 * time.Second,
+		FaultSpec:      "node/*:crash:p=0.01:n=3",
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := svc.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cluster.Restore(snap, cluster.RestoreOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
