@@ -112,7 +112,8 @@ type cloneBuf struct {
 
 // scratchPool recycles optimizer scratch across OptimizeHostlo calls.
 // Each call checks one out for its private fleet chain, so concurrent
-// calls (the cluster's parallel repack fan-out) never share state.
+// calls (population fan-outs, concurrent what-if branches) never share
+// state.
 var scratchPool = sync.Pool{New: func() any { return &optScratch{} }}
 
 // sc returns the fleet's scratch, creating it on first use (fleets
