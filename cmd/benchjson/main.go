@@ -164,7 +164,40 @@ func parse(sc *bufio.Scanner) Doc {
 			}
 		}
 	}
+	if suf := procsSuffix(doc.Benchmarks); suf != "" {
+		for i := range doc.Benchmarks {
+			doc.Benchmarks[i].Name = strings.TrimSuffix(doc.Benchmarks[i].Name, suf)
+		}
+	}
 	return doc
+}
+
+// procsSuffix returns the "-N" that `go test` appended to every name
+// (N = GOMAXPROCS, added whenever it is not 1), or "" when the names
+// carry none. Names are compared bare, as BENCH_core.json stores them,
+// so a run on a multi-core box must lose the suffix. A suffix counts
+// only when every result carries the same one: a bare sub-benchmark
+// name may end in digits of its own (".../ack-1", ".../batch-16"), and
+// a run with -cpu listing several values mixes suffixes, so neither
+// is stripped.
+func procsSuffix(recs []Record) string {
+	suf := ""
+	for i, r := range recs {
+		dash := strings.LastIndexByte(r.Name, '-')
+		if dash < 0 {
+			return ""
+		}
+		num := r.Name[dash+1:]
+		if n, err := strconv.Atoi(num); err != nil || n < 2 || num != strconv.Itoa(n) {
+			return ""
+		}
+		if i == 0 {
+			suf = r.Name[dash:]
+		} else if r.Name[dash:] != suf {
+			return ""
+		}
+	}
+	return suf
 }
 
 // parseBench parses one result line: name, iterations, then

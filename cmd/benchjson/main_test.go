@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,56 @@ func TestParseIgnoresGarbage(t *testing.T) {
 	doc := parse(bufio.NewScanner(strings.NewReader("hello\nBenchmarkBroken abc\nok\n")))
 	if len(doc.Benchmarks) != 0 {
 		t.Fatalf("parsed %d benchmarks from garbage, want 0", len(doc.Benchmarks))
+	}
+}
+
+// TestParseStripsProcsSuffix: on a multi-core box `go test` appends
+// -GOMAXPROCS to every name, and the baseline stores bare names, so the
+// parser must drop the suffix; bare names (including sub-benchmarks
+// whose own names end in digits) must come through untouched.
+func TestParseStripsProcsSuffix(t *testing.T) {
+	names := func(in string) []string {
+		var out []string
+		for _, r := range parse(bufio.NewScanner(strings.NewReader(in))).Benchmarks {
+			out = append(out, r.Name)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		in   string
+		want []string
+	}{
+		{ // suffixed, as a 2-core run prints them
+			in: `BenchmarkLifecycleScale/1k/hostlo/indexed-2   1  1000 ns/op  500 pods/s
+BenchmarkAblationAckFrequency/ack-1-2   1  1000 ns/op
+BenchmarkAblationOverlayBatch/batch-16-2   1  1000 ns/op
+`,
+			want: []string{"BenchmarkLifecycleScale/1k/hostlo/indexed", "BenchmarkAblationAckFrequency/ack-1", "BenchmarkAblationOverlayBatch/batch-16"},
+		},
+		{ // bare, as a GOMAXPROCS=1 run prints them
+			in: `BenchmarkLifecycleScale/1k/hostlo/indexed   1  1000 ns/op  500 pods/s
+BenchmarkAblationAckFrequency/ack-1   1  1000 ns/op
+BenchmarkAblationAckFrequency/ack-2   1  1000 ns/op
+`,
+			want: []string{"BenchmarkLifecycleScale/1k/hostlo/indexed", "BenchmarkAblationAckFrequency/ack-1", "BenchmarkAblationAckFrequency/ack-2"},
+		},
+		{ // bare names that all end in digits, but not the same ones
+			in: `BenchmarkAblationAckFrequency/ack-2   1  1000 ns/op
+BenchmarkAblationAckFrequency/ack-4   1  1000 ns/op
+`,
+			want: []string{"BenchmarkAblationAckFrequency/ack-2", "BenchmarkAblationAckFrequency/ack-4"},
+		},
+	} {
+		if got := names(tc.in); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("parsed names %q, want %q", got, tc.want)
+		}
+	}
+
+	// A suffixed run gates against a bare baseline.
+	cur := parse(bufio.NewScanner(strings.NewReader("BenchmarkLifecycleScale/1k/hostlo/indexed-8   1  1000 ns/op  450 pods/s\n")))
+	base := Doc{Benchmarks: []Record{rec("", "BenchmarkLifecycleScale/1k/hostlo/indexed", map[string]float64{"pods/s": 500})}}
+	if _, failed, err := compare(cur, base, "pods/s", 0.20, false); err != nil || failed {
+		t.Fatalf("suffixed run vs bare baseline: failed=%v err=%v", failed, err)
 	}
 }
 

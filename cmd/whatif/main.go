@@ -11,6 +11,10 @@
 //	curl -s -X POST localhost:8080/whatif -d '{"kind":"kill-nodes","kill_count":25}'
 //	curl -s localhost:8080/stats
 //
+// SIGINT or SIGTERM stops the server gracefully: it stops accepting
+// connections, lets in-flight queries finish (for at most 30 s) and
+// exits 0.
+//
 // The -cloud/-zones/-spot-frac flags give the base world a machine
 // configuration (see internal/cloud), which unlocks the zone-loss and
 // spot-revocation branch queries:
@@ -26,11 +30,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"nestless/internal/cli"
@@ -105,16 +113,51 @@ func main() {
 		time.Since(start).Round(time.Millisecond), st.BasePods, st.SnapAt, st.SnapshotB, st.BaseDigest)
 	fmt.Fprintf(os.Stderr, "whatif: serving %s on http://%s (kinds: %s)\n",
 		"/whatif /stats /base", *addr, strings.Join(snapshot.KindNames(), " "))
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		cli.Fatal("whatif", err)
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := serve(ctx, ln, svc.Handler(), shutdownDrain); err != nil {
+		cli.Fatal("whatif", err)
+	}
+	fmt.Fprintln(os.Stderr, "whatif: stopped")
+}
+
+// shutdownDrain bounds how long a stopping server waits for in-flight
+// queries to finish.
+const shutdownDrain = 30 * time.Second
+
+// serve answers HTTP on ln until ctx is done, then shuts down
+// gracefully: it stops accepting connections, closes idle ones and
+// waits up to drain for in-flight queries to finish. It returns nil
+// after a clean drain, and an error if the server failed or the drain
+// ran out of time (the remaining connections are then closed).
+func serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Duration) error {
 	// The timeouts bound how long a client may hold a connection without
 	// sending a query; a query itself runs as long as its branch does.
 	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           svc.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
-	if err := srv.ListenAndServe(); err != nil {
-		cli.Fatal("whatif", err)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := srv.Shutdown(dctx); err != nil {
+		srv.Close()
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		return err
+	}
+	return nil
 }

@@ -105,24 +105,33 @@ func cmpPlacedVM(a, b PlacedVM) int {
 	return 0
 }
 
-// packKey is the cache key: the group's VM and item counts plus a
+// PackKey is the cache key: the group's VM and item counts plus a
 // commutative 128-bit fold of the per-VM signatures. Commutativity
 // makes the key a pure function of the group multiset; exact-input
-// verification on lookup covers the residual collision risk.
-type packKey struct {
+// verification on lookup covers the residual collision risk. The zero
+// value is the empty group's key.
+type PackKey struct {
 	vms, items int
 	a, b       uint64
 }
 
+// Add folds one VM's signature into the key. A VMSig does not depend
+// on item order and the fold does not depend on VM order, so folding
+// the signatures a caller already holds gives GroupKey of any ordering
+// of the same VMs, the canonical one included.
+func (k *PackKey) Add(s VMSig) {
+	h := mix64(s.A ^ mix64(s.B) ^ uint64(s.Type)<<32 ^ uint64(s.Count))
+	k.vms++
+	k.a += h
+	k.b += mix64(h)
+	k.items += s.Count
+}
+
 // GroupKey digests a candidate group.
-func GroupKey(vms []PlacedVM) packKey {
-	k := packKey{vms: len(vms)}
+func GroupKey(vms []PlacedVM) PackKey {
+	var k PackKey
 	for _, pv := range vms {
-		s := VMSigOf(pv.Type, pv.Items)
-		h := mix64(s.A ^ mix64(s.B) ^ uint64(s.Type)<<32 ^ uint64(s.Count))
-		k.a += h
-		k.b += mix64(h)
-		k.items += s.Count
+		k.Add(VMSigOf(pv.Type, pv.Items))
 	}
 	return k
 }
@@ -130,9 +139,10 @@ func GroupKey(vms []PlacedVM) packKey {
 // packEntry is one cached sub-solution, linked into the LRU list by
 // arena index.
 type packEntry struct {
-	key        packKey
+	key        PackKey
 	input      []PlacedVM // canonical group, deep-copied (verification)
 	output     []PlacedVM // OptimizeHostlo(input) — treated as read-only
+	sigs       []VMSig    // VMSigOf of each output VM, in order — read-only
 	prev, next int32      // LRU neighbours in PackCache.entries, -1 = none
 }
 
@@ -148,8 +158,8 @@ type packEntry struct {
 // installs itself through its own map.
 type PackCache struct {
 	cap        int
-	base       map[packKey]int32 // restored key → slot, shared read-only; stale once the slot is recycled
-	m          map[packKey]int32 // installed key → slot
+	base       map[PackKey]int32 // restored key → slot, shared read-only; stale once the slot is recycled
+	m          map[PackKey]int32 // installed key → slot
 	entries    []packEntry
 	head, tail int32 // head = most recently used; -1 when empty
 
@@ -162,13 +172,13 @@ func NewPackCache(capacity int) *PackCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PackCache{cap: capacity, m: make(map[packKey]int32), head: -1, tail: -1}
+	return &PackCache{cap: capacity, m: make(map[PackKey]int32), head: -1, tail: -1}
 }
 
 // slot finds the arena slot holding key. A base entry is valid only
 // while its slot still holds its key: a recycled slot belongs to the
 // key installed into it, which m maps.
-func (pc *PackCache) slot(key packKey) (int32, bool) {
+func (pc *PackCache) slot(key PackKey) (int32, bool) {
 	if i, ok := pc.m[key]; ok {
 		return i, true
 	}
@@ -182,17 +192,26 @@ func (pc *PackCache) slot(key packKey) (int32, bool) {
 // verifying the stored input matches exactly. The returned slice is
 // owned by the cache: callers must treat it as read-only.
 func (pc *PackCache) Get(group []PlacedVM) ([]PlacedVM, bool) {
+	out, _, ok := pc.Lookup(GroupKey(group), group)
+	return out, ok
+}
+
+// Lookup is Get for a caller that already holds the group's key (see
+// PackKey.Add); it also returns the output's per-VM signatures. Both
+// slices are owned by the cache and read-only.
+func (pc *PackCache) Lookup(key PackKey, group []PlacedVM) ([]PlacedVM, []VMSig, bool) {
 	if pc == nil {
-		return nil, false
+		return nil, nil, false
 	}
-	i, ok := pc.slot(GroupKey(group))
+	i, ok := pc.slot(key)
 	if !ok || !equalPlacement(pc.entries[i].input, group) {
 		pc.misses++
-		return nil, false
+		return nil, nil, false
 	}
 	pc.hits++
 	pc.moveToFront(i)
-	return pc.entries[i].output, true
+	e := &pc.entries[i]
+	return e.output, e.sigs, true
 }
 
 // Put installs the improved placement for a canonical group, deep-
@@ -202,11 +221,20 @@ func (pc *PackCache) Put(group, improved []PlacedVM) {
 	if pc == nil {
 		return
 	}
-	key := GroupKey(group)
+	pc.Install(GroupKey(group), group, improved, AppendSigs(nil, improved))
+}
+
+// Install is Put for a caller that already holds the group's key and
+// the output's signatures (sigs[i] = VMSigOf of improved[i]); the cache
+// takes ownership of both slices.
+func (pc *PackCache) Install(key PackKey, group, improved []PlacedVM, sigs []VMSig) {
+	if pc == nil {
+		return
+	}
 	if i, ok := pc.slot(key); ok {
 		e := &pc.entries[i]
 		e.input = copyPlacement(group)
-		e.output = improved
+		e.output, e.sigs = improved, sigs
 		pc.moveToFront(i)
 		return
 	}
@@ -220,7 +248,7 @@ func (pc *PackCache) Put(group, improved []PlacedVM) {
 		i = int32(len(pc.entries))
 		pc.entries = append(pc.entries, packEntry{})
 	}
-	pc.entries[i] = packEntry{key: key, input: copyPlacement(group), output: improved}
+	pc.entries[i] = packEntry{key: key, input: copyPlacement(group), output: improved, sigs: sigs}
 	pc.m[key] = i
 	pc.pushFront(i)
 }
@@ -269,15 +297,17 @@ func (pc *PackCache) State() *PackCacheState {
 	return st
 }
 
-// PackCacheIndex is a captured state with every entry's key computed,
-// checked duplicate-free and mapped to its position: the part of a
-// restore that hashes. It is read-only, so one index restores any
-// number of caches, concurrently, and they all share its key map and
-// the state's entry slices (the cache never mutates installed slices).
+// PackCacheIndex is a captured state with every entry's key and output
+// signatures computed, the keys checked duplicate-free and mapped to
+// their positions: the part of a restore that hashes. It is read-only,
+// so one index restores any number of caches, concurrently, and they
+// all share its key map, its signatures and the state's entry slices
+// (the cache never mutates installed slices).
 type PackCacheIndex struct {
 	st    *PackCacheState
-	keys  []packKey         // keys[i] = GroupKey(st.Entries[i].Input)
-	slots map[packKey]int32 // keys[i] → i
+	keys  []PackKey         // keys[i] = GroupKey(st.Entries[i].Input)
+	sigs  [][]VMSig         // sigs[i] = AppendSigs(nil, st.Entries[i].Output)
+	slots map[PackKey]int32 // keys[i] → i
 }
 
 // IndexPackCache keys a captured state. A nil state, or one with a
@@ -291,7 +321,7 @@ func IndexPackCache(st *PackCacheState) (*PackCacheIndex, error) {
 	if n > st.Cap {
 		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", n, st.Cap)
 	}
-	ix := &PackCacheIndex{st: st, keys: make([]packKey, n), slots: make(map[packKey]int32, n)}
+	ix := &PackCacheIndex{st: st, keys: make([]PackKey, n), sigs: make([][]VMSig, n), slots: make(map[PackKey]int32, n)}
 	// From the least recent end: the order in which a duplicate has
 	// always been reported.
 	for i := n - 1; i >= 0; i-- {
@@ -301,6 +331,18 @@ func IndexPackCache(st *PackCacheState) (*PackCacheIndex, error) {
 		}
 		ix.keys[i] = key
 		ix.slots[key] = int32(i)
+	}
+	// One signature arena for every entry, each entry's run capped so
+	// nothing can append into its neighbour.
+	total := 0
+	for _, e := range st.Entries {
+		total += len(e.Output)
+	}
+	arena := make([]VMSig, 0, total)
+	for i, e := range st.Entries {
+		start := len(arena)
+		arena = AppendSigs(arena, e.Output)
+		ix.sigs[i] = arena[start:len(arena):len(arena)]
 	}
 	return ix, nil
 }
@@ -317,7 +359,7 @@ func (ix *PackCacheIndex) Restore() *PackCache {
 	pc := &PackCache{
 		cap:       st.Cap,
 		base:      ix.slots,
-		m:         make(map[packKey]int32),
+		m:         make(map[PackKey]int32),
 		entries:   make([]packEntry, n),
 		head:      -1,
 		tail:      -1,
@@ -329,7 +371,7 @@ func (ix *PackCacheIndex) Restore() *PackCache {
 	// i+1.
 	for i, key := range ix.keys {
 		se := &st.Entries[i]
-		pc.entries[i] = packEntry{key: key, input: se.Input, output: se.Output, prev: int32(i) - 1, next: int32(i) + 1}
+		pc.entries[i] = packEntry{key: key, input: se.Input, output: se.Output, sigs: ix.sigs[i], prev: int32(i) - 1, next: int32(i) + 1}
 	}
 	if n > 0 {
 		pc.entries[n-1].next = -1

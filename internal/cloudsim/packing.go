@@ -77,7 +77,6 @@ type fleet struct {
 // value is ready to use; buffers grow to the high-water mark of the
 // call and stay there.
 type optScratch struct {
-	order []int      // consolidate: candidate visit order
 	items []item     // consolidate: sorted copy of the source VM's items
 	plan  []consMove // consolidate: tentative moves, kept for revert
 	ffd   []item     // packContainersFFD: sorted copy of the input
@@ -92,14 +91,15 @@ type optScratch struct {
 	subItems  []item // final per-VM item storage, one flat arena
 	subFleet  fleet  // the returned fleet header itself
 
-	vmix  vmIndex   // consolidate: recycled target index storage
-	spine []*vmNode // consolidate: Cartesian-build stack
+	keys []wasteKey // consolidate: visit order with its sort keys
+	vmix vmIndex    // consolidate: recycled target index storage
 
 	// improveHostlo's clone double-buffer: at most two optimizer fleets
 	// are alive at once (cur and the clone being evaluated), so clones
 	// alternate between two recycled buffers instead of allocating.
 	cbuf  [2]cloneBuf
-	cbufN int // clones handed out; parity picks the buffer
+	cbufN int      // clones handed out; parity picks the buffer
+	in    cloneBuf // OptimizeHostlo's input fleet (toFleet)
 }
 
 // cloneBuf backs one recycled optimizer fleet (see optScratch.cbuf).
@@ -554,12 +554,20 @@ func packContainersFFD(items []item, catalog []VMType, sc *optScratch) *fleet {
 	return f
 }
 
-// consolidateIndexThreshold is the fleet size above which consolidate
-// switches from the linear target scan to the vmIndex treap. Below it
-// the scan's cache behavior wins; above it the O(log n) query does. The
-// two paths pick byte-identical targets (TestConsolidatePathsAgree
-// forces each in turn). A var only so that test can pin it.
+// consolidateIndexThreshold is the fleet size at which consolidate
+// switches from the linear target scan to the vmIndex segment tree.
+// Below it the scan's cache behavior wins; above it the pruned tree
+// descent does. The two paths pick byte-identical targets
+// (TestConsolidatePathsAgree forces each in turn). A var only so that
+// test can pin it.
 var consolidateIndexThreshold = 24
+
+// wasteKey is one entry of consolidate's visit order: a VM's fleet
+// position and its waste, computed once before the sort.
+type wasteKey struct {
+	w   float64
+	ord int
+}
 
 // consolidate tries to eliminate or lighten VMs: candidates are visited
 // most-wasted first, and each of their containers — smallest first — is
@@ -569,42 +577,43 @@ var consolidateIndexThreshold = 24
 // be rehomed is left untouched. Reports whether anything moved.
 func (f *fleet) consolidate() bool {
 	sc := f.sc()
-	order := sc.order[:0]
-	for i := range f.vms {
-		order = append(order, i)
+	keys := sc.keys[:0]
+	for i, v := range f.vms {
+		keys = append(keys, wasteKey{w: v.waste(f.catalog), ord: i})
 	}
-	sc.order = order
-	slices.SortStableFunc(order, func(a, b int) int {
-		wa, wb := f.vms[a].waste(f.catalog), f.vms[b].waste(f.catalog)
+	sc.keys = keys
+	// (waste desc, position asc) is a total order, so this unstable
+	// sort yields the stable sort by waste alone.
+	slices.SortFunc(keys, func(a, b wasteKey) int {
 		switch {
-		case wa > wb:
+		case a.w > b.w:
 			return -1
-		case wa < wb:
+		case a.w < b.w:
 			return 1
 		}
-		return 0
+		return a.ord - b.ord
 	})
 
-	// Above the threshold, index every VM by (waste desc, position asc)
-	// so each target query is a pruned tree descent instead of a fleet
-	// scan. The index is refreshed on every mutation, so its frozen free
-	// capacities always equal the scan's live ones.
+	// At or above the threshold, index every VM so each target query
+	// is a pruned tree descent instead of a fleet scan. The index is
+	// updated on every mutation, so its free capacities always equal
+	// the scan's live ones.
 	var ix *vmIndex
 	if len(f.vms) >= consolidateIndexThreshold {
 		ix = &sc.vmix
-		ix.reset(f.catalog, len(f.vms))
-		sc.spine = ix.buildSorted(f, order, sc.spine)
+		ix.reset(f)
 	}
 
 	moved := false
-	for _, vi := range order {
+	for _, k := range keys {
+		vi := k.ord
 		src := f.vms[vi]
 		if len(src.items) == 0 {
 			continue
 		}
 		if ix != nil {
 			// Exclude src as a target for its own containers.
-			ix.remove(vi)
+			ix.set(vi, absentSlot)
 		}
 		// Fail fast: if the largest container fits no target before any
 		// tentative move, the attempt cannot succeed — target capacity
@@ -620,7 +629,7 @@ func (f *fleet) consolidate() bool {
 		}
 		fits := false
 		if ix != nil {
-			fits = ix.root.firstFit(largest.cpu, largest.mem) != nil
+			fits = ix.anyFit(largest.cpu, largest.mem)
 		} else {
 			for _, t := range f.vms {
 				if t != src && t.freeCPU(f.catalog) >= largest.cpu && t.freeMem(f.catalog) >= largest.mem {
@@ -631,7 +640,7 @@ func (f *fleet) consolidate() bool {
 		}
 		if !fits {
 			if ix != nil {
-				ix.add(src, vi, src.waste(f.catalog))
+				ix.set(vi, slotOf(src, f.catalog))
 			}
 			continue
 		}
@@ -645,8 +654,8 @@ func (f *fleet) consolidate() bool {
 			var best *vm
 			ord := -1
 			if ix != nil {
-				if n := ix.root.firstFit(it.cpu, it.mem); n != nil {
-					best, ord = n.v, n.ord
+				if ord = ix.firstFit(it.cpu, it.mem); ord >= 0 {
+					best = f.vms[ord]
 				}
 			} else {
 				for ti, t := range f.vms {
@@ -666,7 +675,7 @@ func (f *fleet) consolidate() bool {
 			}
 			best.place(it)
 			if ix != nil {
-				ix.refresh(best, ord, best.waste(f.catalog))
+				ix.set(ord, slotOf(best, f.catalog))
 			}
 			plan = append(plan, consMove{target: best, ord: ord, it: it})
 		}
@@ -681,12 +690,12 @@ func (f *fleet) consolidate() bool {
 					}
 				}
 				if ix != nil {
-					ix.refresh(p.target, p.ord, p.target.waste(f.catalog))
+					ix.set(p.ord, slotOf(p.target, f.catalog))
 				}
 			}
 			if ix != nil {
 				// src is unchanged; restore it as a target.
-				ix.add(src, vi, src.waste(f.catalog))
+				ix.set(vi, slotOf(src, f.catalog))
 			}
 			continue
 		}
@@ -699,7 +708,7 @@ func (f *fleet) consolidate() bool {
 		if ix != nil {
 			// Emptied: back in the index at full waste — later candidates
 			// may consolidate into it, exactly as the scan would.
-			ix.add(src, vi, src.waste(f.catalog))
+			ix.set(vi, slotOf(src, f.catalog))
 		}
 		moved = true
 	}

@@ -38,23 +38,32 @@ func MostRequestedFraction(t VMType, usedCPU, usedMem float64) float64 {
 // toFleet converts an exported placement into the internal fleet form,
 // preserving VM order and item order — the optimizer's passes use
 // stable sorts, so order is part of its determinism contract.
-// Like fleet.clone, the conversion builds into two arenas (vm structs,
-// one flat full-capacity-sliced item store): the lifecycle optimizer
-// runs this per candidate group, millions of times at trace scale. The
-// used sums accumulate in item order, exactly as the old per-item
-// place() calls did, so the floats come out bit-identical.
-func toFleet(vms []PlacedVM, catalog []VMType) *fleet {
+// The conversion builds into the scratch's recycled input buffer (vm
+// structs, one flat full-capacity-sliced item store): the lifecycle
+// optimizer runs this per candidate group, millions of times at trace
+// scale, and improveHostlo only reads its input fleet (it clones before
+// mutating), so the input can die with the scratch. The used sums
+// accumulate in item order, exactly as the old per-item place() calls
+// did, so the floats come out bit-identical.
+func toFleet(vms []PlacedVM, catalog []VMType, sc *optScratch) *fleet {
 	total := 0
 	for i := range vms {
 		total += len(vms[i].Items)
 	}
-	f := &fleet{catalog: catalog, vms: make([]*vm, len(vms))}
-	varena := make([]vm, len(vms))
-	iarena := make([]item, 0, total)
+	b := &sc.in
+	if cap(b.vms) < len(vms) {
+		b.vms = make([]*vm, len(vms))
+		b.varena = make([]vm, len(vms))
+	}
+	b.vms, b.varena = b.vms[:len(vms)], b.varena[:len(vms)]
+	iarena := b.iarena[:0]
+	if cap(iarena) < total {
+		iarena = make([]item, 0, total)
+	}
 	for i := range vms {
 		pv := &vms[i]
-		v := &varena[i]
-		v.typ = pv.Type
+		v := &b.varena[i]
+		*v = vm{typ: pv.Type}
 		is := len(iarena)
 		for _, it := range pv.Items {
 			iarena = append(iarena, item{pod: it.Pod, cpu: it.CPU, mem: it.Mem})
@@ -62,9 +71,11 @@ func toFleet(vms []PlacedVM, catalog []VMType) *fleet {
 			v.usedMem += it.Mem
 		}
 		v.items = iarena[is:len(iarena):len(iarena)]
-		f.vms[i] = v
+		b.vms[i] = v
 	}
-	return f
+	b.iarena = iarena
+	b.f = fleet{catalog: catalog, vms: b.vms, scratch: sc}
+	return &b.f
 }
 
 // fromFleet converts back, preserving order, into one flat item arena
@@ -97,13 +108,12 @@ func OptimizeHostlo(vms []PlacedVM, catalog []VMType) []PlacedVM {
 	if len(vms) == 0 {
 		return nil
 	}
-	f := toFleet(vms, catalog)
 	// Check a recycled scratch out of the pool for this call's private
-	// fleet chain; everything the optimizer built aliases it, so it
-	// goes back only after fromFleet has copied the result out.
+	// fleet chain, input included; everything the optimizer built
+	// aliases it, so it goes back only after fromFleet has copied the
+	// result out.
 	sc := scratchPool.Get().(*optScratch)
-	f.scratch = sc
-	out := fromFleet(improveHostlo(f))
+	out := fromFleet(improveHostlo(toFleet(vms, catalog, sc)))
 	scratchPool.Put(sc)
 	return out
 }
@@ -136,6 +146,14 @@ func VMSigOf(typ int, items []PlacedItem) VMSig {
 	return VMSig{Type: typ, Count: len(items), A: a, B: b}
 }
 
+// AppendSigs appends VMSigOf of each VM of vms to dst, in order.
+func AppendSigs(dst []VMSig, vms []PlacedVM) []VMSig {
+	for _, pv := range vms {
+		dst = append(dst, VMSigOf(pv.Type, pv.Items))
+	}
+	return dst
+}
+
 // VMSignature is VMSigOf rendered as a string, the original exported
 // form (kept for callers that want a printable digest).
 func VMSignature(typ int, items []PlacedItem) string {
@@ -149,6 +167,14 @@ func VMSignature(typ int, items []PlacedItem) string {
 	buf = append(buf, ';')
 	buf = strconv.AppendUint(buf, s.B, 16)
 	return string(buf)
+}
+
+// mix64 is splitmix64, the same bit mixer capindex.go uses.
+func mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // itemHash is FNV-1a over the item's pod name and the raw bits of its

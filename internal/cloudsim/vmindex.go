@@ -1,278 +1,144 @@
 package cloudsim
 
-// vmIndex: the packing-side analog of the cluster's capacity index
-// (internal/cluster/capindex.go). Both optimizer hot loops —
-// consolidate's "most-wasted other VM that fits" and FFD's
-// "most-requested VM that fits" — are the same query: the best-scoring
-// VM with freeCPU >= cpu and freeMem >= mem, ties broken by earliest
-// position in the fleet slice. A treap ordered by (score desc, ordinal
-// asc) and augmented with subtree maxima of the free capacities answers
-// it in O(log n): a subtree whose max free CPU or memory is below the
-// request cannot contain a fit and is pruned whole, and the first fit
-// found in tree order IS the scan's answer, because tree order equals
-// the scan's preference order.
+import (
+	"math"
+	"math/bits"
+)
+
+// vmIndex is consolidate's target index: it answers "the most-wasted
+// VM whose free CPU and memory cover (cpu, mem), earliest fleet
+// position among equals" — exactly the linear scan's pick — without
+// scanning the fleet.
 //
-// Determinism: priorities are a hash of the ordinal, so tree shape is a
-// pure function of the inserted set — no RNG, byte-identical replays.
-
-// mix64 is splitmix64, the same bit mixer capindex.go uses.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// vmNode is one treap entry: a VM with its selection score and free
-// capacities frozen at insert time (update = remove + re-insert).
-type vmNode struct {
-	v                *vm
-	score            float64 // waste or requestedFraction, per index
-	ord              int     // position in the fleet slice (tie-break)
-	prio             uint64
-	freeCPU, freeMem float64
-	maxCPU, maxMem   float64 // subtree maxima of the free capacities
-	l, r             *vmNode
-}
-
-// before is the tree order: score desc, ordinal asc — exactly the
-// preference order of the linear scans (strict > on score keeps the
-// earliest VM among ties).
-func (t *vmNode) before(score float64, ord int) bool {
-	return t.score > score || (t.score == score && t.ord < ord)
-}
-
-func (t *vmNode) update() {
-	t.maxCPU, t.maxMem = t.freeCPU, t.freeMem
-	if t.l != nil {
-		if t.l.maxCPU > t.maxCPU {
-			t.maxCPU = t.l.maxCPU
-		}
-		if t.l.maxMem > t.maxMem {
-			t.maxMem = t.l.maxMem
-		}
-	}
-	if t.r != nil {
-		if t.r.maxCPU > t.maxCPU {
-			t.maxCPU = t.r.maxCPU
-		}
-		if t.r.maxMem > t.maxMem {
-			t.maxMem = t.r.maxMem
-		}
-	}
-}
-
-func vmRotRight(t *vmNode) *vmNode {
-	l := t.l
-	t.l = l.r
-	l.r = t
-	t.update()
-	l.update()
-	return l
-}
-
-func vmRotLeft(t *vmNode) *vmNode {
-	r := t.r
-	t.r = r.l
-	r.l = t
-	t.update()
-	r.update()
-	return r
-}
-
-func vmInsert(t, n *vmNode) *vmNode {
-	if t == nil {
-		n.update()
-		return n
-	}
-	if n.before(t.score, t.ord) {
-		t.l = vmInsert(t.l, n)
-		if t.l.prio < t.prio {
-			return vmRotRight(t)
-		}
-	} else {
-		t.r = vmInsert(t.r, n)
-		if t.r.prio < t.prio {
-			return vmRotLeft(t)
-		}
-	}
-	t.update()
-	return t
-}
-
-func vmDelete(t *vmNode, score float64, ord int) *vmNode {
-	if t == nil {
-		return nil
-	}
-	if t.score == score && t.ord == ord {
-		switch {
-		case t.l == nil:
-			return t.r
-		case t.r == nil:
-			return t.l
-		case t.l.prio < t.r.prio:
-			t = vmRotRight(t)
-			t.r = vmDelete(t.r, score, ord)
-		default:
-			t = vmRotLeft(t)
-			t.l = vmDelete(t.l, score, ord)
-		}
-	} else if t.before(score, ord) {
-		t.r = vmDelete(t.r, score, ord)
-	} else {
-		t.l = vmDelete(t.l, score, ord)
-	}
-	t.update()
-	return t
-}
-
-// firstFit returns the first VM in tree order (score desc, ordinal asc)
-// whose frozen free capacities cover (cpu, mem) — the linear scan's
-// pick — or nil. Subtrees whose capacity maxima fall short are pruned.
-func (t *vmNode) firstFit(cpu, mem float64) *vmNode {
-	if t == nil || t.maxCPU < cpu || t.maxMem < mem {
-		return nil
-	}
-	if n := t.l.firstFit(cpu, mem); n != nil {
-		return n
-	}
-	if t.freeCPU >= cpu && t.freeMem >= mem {
-		return t
-	}
-	return t.r.firstFit(cpu, mem)
-}
-
-// vmIndex wraps the treap with the by-ordinal handle table the
-// mutation paths need (a VM's node must be findable to remove +
-// re-insert it). Node storage is a flat arena indexed by ordinal:
-// consolidate builds a fresh index per call over ordinals 0..n-1, so
-// sizing the arena up front turns what used to be one heap node plus a
-// map insert per VM into two slice allocations per call. Ordinals at
-// or past the arena (only the tests' growing workloads produce them)
-// fall back to individually allocated nodes; arena pointers stay valid
-// because the arena itself never grows.
+// It is a pointer-free segment tree over fleet ordinals in one array
+// (heap layout: node 1 is the root, node i's children are 2i and 2i+1,
+// leaf ord sits at size+ord). A leaf holds its VM's free CPU, free
+// memory and waste; an internal node holds the maxima of its children.
+// A query is a branch-and-bound descent: a subtree whose free-capacity
+// maxima fall short of the request cannot hold a fit, and one whose
+// waste maximum cannot beat the best fit found so far (with the
+// earliest ordinal winning ties) cannot hold a better one, so both are
+// pruned whole. Updating a VM rewrites its leaf and the ancestors whose
+// maxima change. Absent VMs (the consolidation source, ordinals past
+// the fleet) hold -Inf everywhere and never fit.
 type vmIndex struct {
-	root    *vmNode
-	arena   []vmNode
-	handles []*vmNode // by ordinal; nil = not indexed
-	cat     []VMType
+	size  int       // leaf count, a power of two >= the fleet size
+	t     []vmSlot  // 2*size nodes; t[0] is unused
+	stack []vmFrame // search scratch
 }
 
-// newVMIndex sizes the index for ordinals 0..n-1.
-func newVMIndex(cat []VMType, n int) *vmIndex {
-	return &vmIndex{arena: make([]vmNode, n), handles: make([]*vmNode, n), cat: cat}
+// vmSlot is one tree node: a VM's free capacities and waste at a leaf,
+// their per-field maxima over the subtree at an internal node.
+type vmSlot struct{ cpu, mem, waste float64 }
+
+var absentSlot = vmSlot{math.Inf(-1), math.Inf(-1), math.Inf(-1)}
+
+func slotOf(v *vm, c []VMType) vmSlot {
+	return vmSlot{cpu: v.freeCPU(c), mem: v.freeMem(c), waste: v.waste(c)}
 }
 
-// reset prepares a recycled index for a fresh build over ordinals
-// 0..n-1, growing the arenas to fit and clearing the handle table —
-// consolidate rebuilds its index on every call, and recycling the
-// backing storage through the optimizer scratch keeps that off the
-// heap profile.
-func (ix *vmIndex) reset(cat []VMType, n int) {
-	ix.root, ix.cat = nil, cat
-	if cap(ix.arena) < n {
-		ix.arena = make([]vmNode, n)
-		ix.handles = make([]*vmNode, n)
-		return
+func maxSlot(a, b vmSlot) vmSlot {
+	return vmSlot{cpu: max(a.cpu, b.cpu), mem: max(a.mem, b.mem), waste: max(a.waste, b.waste)}
+}
+
+// reset rebuilds the index over every VM of f, reusing its storage
+// (consolidate rebuilds it on every call): leaves in fleet order, then
+// the internal nodes bottom-up, O(n).
+func (ix *vmIndex) reset(f *fleet) {
+	size := 1
+	for size < len(f.vms) {
+		size <<= 1
 	}
-	ix.arena = ix.arena[:n]
-	ix.handles = ix.handles[:n]
-	for i := range ix.handles {
-		ix.handles[i] = nil
+	ix.size = size
+	if cap(ix.t) < 2*size {
+		ix.t = make([]vmSlot, 2*size)
+	}
+	ix.t = ix.t[:2*size]
+	leaves := ix.t[size:]
+	for i, v := range f.vms {
+		leaves[i] = slotOf(v, f.catalog)
+	}
+	for i := len(f.vms); i < size; i++ {
+		leaves[i] = absentSlot
+	}
+	for i := size - 1; i >= 1; i-- {
+		ix.t[i] = maxSlot(ix.t[2*i], ix.t[2*i+1])
 	}
 }
 
-// buildSorted bulk-loads the index from VMs already sorted in tree
-// order — (score desc, ordinal asc), exactly consolidate's visit order
-// — using the stack-based Cartesian-tree construction: O(n) total, no
-// rotations, against n O(log n) rotating inserts. The stack holds the
-// right spine; a node's aggregates are finalized when it leaves the
-// spine (its subtree is complete then), and the leftover spine is
-// finalized bottom-up at the end. The result is a valid treap — BST
-// order by construction, min-heap on prio by the pop invariant — so
-// the incremental add/remove/refresh paths operate on it unchanged,
-// and queries are shape-independent anyway (first in-order fit).
-// spine is caller-owned scratch; the grown slice is returned for
-// reuse.
-func (ix *vmIndex) buildSorted(f *fleet, order []int, spine []*vmNode) []*vmNode {
-	spine = spine[:0]
-	for _, ord := range order {
-		v := f.vms[ord]
-		n := &ix.arena[ord]
-		ix.handles[ord] = n
-		*n = vmNode{
-			v: v, score: v.waste(ix.cat), ord: ord, prio: mix64(uint64(ord) + 1),
-			freeCPU: v.freeCPU(ix.cat), freeMem: v.freeMem(ix.cat),
+// set rewrites ordinal ord's leaf and walks up, stopping at the first
+// ancestor whose maxima do not change (nothing above it can change
+// either).
+func (ix *vmIndex) set(ord int, s vmSlot) {
+	i := ix.size + ord
+	ix.t[i] = s
+	for i > 1 {
+		i >>= 1
+		m := maxSlot(ix.t[2*i], ix.t[2*i+1])
+		if m == ix.t[i] {
+			return
 		}
-		var last *vmNode
-		for len(spine) > 0 && spine[len(spine)-1].prio > n.prio {
-			last = spine[len(spine)-1]
-			spine = spine[:len(spine)-1]
-			last.update()
-		}
-		n.l = last
-		if len(spine) > 0 {
-			spine[len(spine)-1].r = n
-		}
-		spine = append(spine, n)
+		ix.t[i] = m
 	}
-	for i := len(spine) - 1; i >= 0; i-- {
-		spine[i].update()
-	}
-	if len(spine) > 0 {
-		ix.root = spine[0]
-	}
-	return spine
 }
 
-// add indexes v under the given score, freezing its current free
-// capacities.
-func (ix *vmIndex) add(v *vm, ord int, score float64) {
-	for ord >= len(ix.handles) {
-		ix.handles = append(ix.handles, nil)
-	}
-	n := ix.handles[ord]
-	if n == nil {
-		if ord < len(ix.arena) {
-			n = &ix.arena[ord]
-		} else {
-			n = &vmNode{}
+// firstFit returns the ordinal of the first VM in the scan's preference
+// order (waste desc, ordinal asc) whose free capacities cover
+// (cpu, mem), or -1.
+func (ix *vmIndex) firstFit(cpu, mem float64) int { return ix.search(cpu, mem, false) }
+
+// anyFit reports whether some VM's free capacities cover (cpu, mem).
+func (ix *vmIndex) anyFit(cpu, mem float64) bool { return ix.search(cpu, mem, true) >= 0 }
+
+// search is a depth-first branch-and-bound descent. A subtree is
+// pruned when its free-capacity maxima fall short of the request, when
+// its waste maximum is below cpu+mem (a fit's waste is its free CPU
+// plus its free memory, and float addition is monotone), or when it
+// cannot beat the incumbent: its waste maximum is lower, or equal with
+// every ordinal in it past the incumbent's. The child with the larger
+// waste maximum goes first (the left one on a tie), so a strong
+// incumbent is found early; with exists set, the first fit ends the
+// search.
+func (ix *vmIndex) search(cpu, mem float64, exists bool) int {
+	stack := ix.stack[:0] // deferred siblings, at most one per level
+	best, bestW := -1, math.Inf(-1)
+	i, lo := 1, 0
+	need := cpu + mem
+	for {
+		s := &ix.t[i]
+		if s.cpu >= cpu && s.mem >= mem && s.waste >= need &&
+			(s.waste > bestW || (s.waste == bestW && lo < best)) {
+			if i >= ix.size {
+				if exists {
+					break
+				}
+				best, bestW = lo, s.waste
+			} else {
+				// Node i at depth d covers size>>d ordinals; its
+				// children split them in half.
+				half := ix.size >> bits.Len(uint(i))
+				l := 2 * i
+				if ix.t[l+1].waste > ix.t[l].waste {
+					stack = append(stack, vmFrame{l, lo})
+					i, lo = l+1, lo+half
+				} else {
+					stack = append(stack, vmFrame{l + 1, lo + half})
+					i = l
+				}
+				continue
+			}
 		}
-		ix.handles[ord] = n
+		if len(stack) == 0 {
+			ix.stack = stack
+			return best
+		}
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		i, lo = f.i, f.lo
 	}
-	*n = vmNode{
-		v: v, score: score, ord: ord, prio: mix64(uint64(ord) + 1),
-		freeCPU: v.freeCPU(ix.cat), freeMem: v.freeMem(ix.cat),
-	}
-	ix.root = vmInsert(ix.root, n)
+	ix.stack = stack
+	return lo
 }
 
-// remove drops the VM with this ordinal, if indexed.
-func (ix *vmIndex) remove(ord int) {
-	if ord >= len(ix.handles) || ix.handles[ord] == nil {
-		return
-	}
-	n := ix.handles[ord]
-	if n.v == nil {
-		return
-	}
-	ix.root = vmDelete(ix.root, n.score, n.ord)
-	n.l, n.r = nil, nil
-	n.v = nil
-}
-
-// refresh re-indexes the VM with this ordinal under a new score after
-// its contents changed, reusing its treap node (no allocation — this
-// runs once per tentative container move in consolidate).
-func (ix *vmIndex) refresh(v *vm, ord int, score float64) {
-	if ord >= len(ix.handles) || ix.handles[ord] == nil || ix.handles[ord].v == nil {
-		ix.add(v, ord, score)
-		return
-	}
-	n := ix.handles[ord]
-	ix.root = vmDelete(ix.root, n.score, n.ord)
-	n.l, n.r = nil, nil
-	n.score = score
-	n.freeCPU, n.freeMem = v.freeCPU(ix.cat), v.freeMem(ix.cat)
-	ix.root = vmInsert(ix.root, n)
-}
+// vmFrame is a subtree search has yet to visit: node i, first ordinal lo.
+type vmFrame struct{ i, lo int }

@@ -451,6 +451,11 @@ type node struct {
 	idxScore   float64 // the stored index key (exact delete needs it)
 	dirty      bool    // touched since the last Hostlo optimize pass
 
+	// sig caches VMSigOf(typ, items) while sigOK; touchNode, which
+	// every item mutation calls, clears sigOK (see signature).
+	sig   cloudsim.VMSig
+	sigOK bool
+
 	// Cloud-model identity, fixed at creation.
 	zone      int     // failure-domain index, < Config.Zones
 	spot      bool    // preemptible capacity
@@ -467,6 +472,15 @@ func (n *node) recompute() {
 		n.usedCPU += it.CPU
 		n.usedMem += it.Mem
 	}
+}
+
+// signature returns the node's content signature, hashing its items
+// only on the first call after they changed.
+func (n *node) signature() cloudsim.VMSig {
+	if !n.sigOK {
+		n.sig, n.sigOK = cloudsim.VMSigOf(n.typ, n.items), true
+	}
+	return n.sig
 }
 
 // Cluster is one lifecycle simulation world.
@@ -551,6 +565,8 @@ type Cluster struct {
 	candScratch     []*node
 	neighScratch    []*node
 	scoredScratch   []scoredNode
+	runScratch      []nodeRun
+	mergeScratch    []*node
 	typeCount       []int
 	placedScratch   []cloudsim.PlacedVM
 	itemScratch     []cloudsim.PlacedItem
@@ -558,6 +574,8 @@ type Cluster struct {
 	outScratch      [][]cloudsim.PlacedVM
 	missScratch     []int32
 	improvedScratch []cloudsim.PlacedVM
+	keyScratch      []cloudsim.PackKey
+	outSigScratch   [][]cloudsim.VMSig
 	sigScratch      []cloudsim.VMSig
 	avail           map[cloudsim.VMSig]sigChain
 	availNext       []int32
@@ -1007,8 +1025,10 @@ func (c *Cluster) score(n *node) float64 {
 }
 
 // touchNode re-indexes a node after its used sums changed (and keeps a
-// dead node out of the index). Reference mode maintains no index.
+// dead node out of the index), and invalidates its cached signature.
+// Reference mode maintains no index.
 func (c *Cluster) touchNode(n *node) {
+	n.sigOK = false
 	if c.cfg.Reference {
 		return
 	}
@@ -1117,6 +1137,9 @@ func (c *Cluster) Leaks() []string {
 			} else if n.idxScore != c.score(n) {
 				leakf("node %s: stale index key %v (current score %v)", n.name, n.idxScore, c.score(n))
 			}
+		}
+		if n.sigOK && n.sig != cloudsim.VMSigOf(n.typ, n.items) {
+			leakf("node %s: stale cached signature %+v (current %+v)", n.name, n.sig, cloudsim.VMSigOf(n.typ, n.items))
 		}
 	}
 	if live != c.liveCount {

@@ -58,6 +58,7 @@ func (c *Cluster) optimize() {
 	c.res.OptimizerRuns++
 	c.count("cluster/optimizer_runs")
 	var improved []cloudsim.PlacedVM
+	var sigs []cloudsim.VMSig
 	if full {
 		c.res.OptimizerFull++
 		c.count("cluster/optimizer_full_runs")
@@ -67,10 +68,12 @@ func (c *Cluster) optimize() {
 		}
 		c.placedScratch = placed
 		improved = cloudsim.OptimizeHostlo(placed, c.cat)
+		sigs = cloudsim.AppendSigs(c.sigScratch[:0], improved)
+		c.sigScratch = sigs
 	} else {
-		improved = c.optimizeGroups(cand)
+		improved, sigs = c.optimizeGroups(cand)
 	}
-	c.reconcile(cand, improved)
+	c.reconcile(cand, improved, sigs)
 }
 
 // optimizeGroups runs one incremental pass: the candidates are
@@ -78,8 +81,17 @@ func (c *Cluster) optimize() {
 // copied into the canonical arena and canonicalized, the packing cache
 // is probed in type order, cache misses are optimized and their fresh
 // solutions installed in type order (deterministic LRU order), and the
-// group outputs are concatenated in type order.
-func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
+// group outputs are concatenated in type order. It returns the merged
+// placement and its per-VM signatures.
+//
+// Nothing is hashed for a node whose contents did not change since its
+// signature was last taken: a group's cache key is folded from the
+// signatures the nodes carry (equal to GroupKey of the canonical copy,
+// since neither the signature nor the fold depends on order), the one
+// key serves both the probe and the install, and a hit returns the
+// output signatures stored with the entry. Only a miss's fresh output
+// is hashed, once, and the cache keeps those signatures.
+func (c *Cluster) optimizeGroups(cand []*node) ([]cloudsim.PlacedVM, []cloudsim.VMSig) {
 	types := len(c.cat)
 	if cap(c.typeCount) < types {
 		c.typeCount = make([]int, types)
@@ -99,15 +111,18 @@ func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 	placed := c.placedScratch[:0]
 	items := c.itemScratch[:0]
 	groups := c.groupScratch[:0]
+	keys := c.keyScratch[:0]
 	for typ := 0; typ < types; typ++ {
 		if counts[typ] == 0 {
 			continue
 		}
 		start := len(placed)
+		var key cloudsim.PackKey
 		for _, n := range cand {
 			if n.typ != typ {
 				continue
 			}
+			key.Add(n.signature())
 			is := len(items)
 			items = append(items, n.items...)
 			placed = append(placed, cloudsim.PlacedVM{
@@ -117,32 +132,40 @@ func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 		group := placed[start:len(placed):len(placed)]
 		cloudsim.CanonicalizePlacement(group)
 		groups = append(groups, group)
+		keys = append(keys, key)
 	}
 	c.placedScratch = placed
 	c.itemScratch = items
 	c.groupScratch = groups
+	c.keyScratch = keys
 
 	// Serial probe phase, in type order.
 	outs := c.outScratch[:0]
+	outSigs := c.outSigScratch[:0]
 	miss := c.missScratch[:0]
 	hits := 0
 	for gi, g := range groups {
 		c.res.OptimizerGroups++
-		if out, ok := c.pack.Get(g); ok {
+		if out, sigs, ok := c.pack.Lookup(keys[gi], g); ok {
 			outs = append(outs, out)
+			outSigs = append(outSigs, sigs)
 			hits++
 			continue
 		}
 		outs = append(outs, nil)
+		outSigs = append(outSigs, nil)
 		miss = append(miss, int32(gi))
 	}
 	// Misses are optimized and installed in type order, on the caller's
-	// goroutine (deterministic LRU order).
+	// goroutine (deterministic LRU order). The cache takes ownership of
+	// the fresh output and its signatures.
 	for _, gi := range miss {
 		outs[gi] = cloudsim.OptimizeHostlo(groups[gi], c.cat)
-		c.pack.Put(groups[gi], outs[gi])
+		outSigs[gi] = cloudsim.AppendSigs(nil, outs[gi])
+		c.pack.Install(keys[gi], groups[gi], outs[gi], outSigs[gi])
 	}
 	c.outScratch = outs
+	c.outSigScratch = outSigs
 	c.missScratch = miss
 	if c.pack != nil {
 		c.res.OptimizerCacheHits += hits
@@ -160,11 +183,14 @@ func (c *Cluster) optimizeGroups(cand []*node) []cloudsim.PlacedVM {
 	// Merge in type order. The cached outputs stay cache-owned and
 	// read-only; reconcile copies items before mutating node state.
 	improved := c.improvedScratch[:0]
-	for _, out := range outs {
+	sigs := c.sigScratch[:0]
+	for gi, out := range outs {
 		improved = append(improved, out...)
+		sigs = append(sigs, outSigs[gi]...)
 	}
 	c.improvedScratch = improved
-	return improved
+	c.sigScratch = sigs
+	return improved, sigs
 }
 
 // optimizeCandidates picks the nodes the next pass will consider, in
@@ -204,42 +230,77 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 // two-stage rule (up to k per catalog type, then k overall), so they
 // return the identical set.
 func (c *Cluster) neighborhood(k int) []*node {
-	var cand []*node
 	if c.cfg.Reference {
-		byType := make([][]*node, len(c.cat))
-		for _, n := range c.nodes {
-			if n.live && !n.dirty {
-				byType[n.typ] = append(byType[n.typ], n)
-			}
-		}
-		for _, ns := range byType {
-			sort.Slice(ns, func(a, b int) bool {
-				sa, sb := c.score(ns[a]), c.score(ns[b])
-				return sa < sb || (sa == sb && ns[a].id > ns[b].id)
-			})
-			if len(ns) > k {
-				ns = ns[:k]
-			}
-			cand = append(cand, ns...)
-		}
-	} else {
-		cand = c.neighScratch[:0]
-		for _, root := range c.idx.trees {
-			taken := 0
-			root.revEach(func(n *node) bool {
-				if n.dirty {
-					return true
-				}
-				cand = append(cand, n)
-				taken++
-				return taken < k
-			})
-		}
-		c.neighScratch = cand
+		return c.neighborhoodScan(k)
 	}
-	// Final overall ordering, on precomputed scores (the comparator
-	// must not recompute the score per comparison — this runs on every
-	// incremental pass).
+	// Each type tree's reverse walk yields its run already in the final
+	// order (its key is the node's current score, idxScore), so the
+	// overall first k come from a k-way merge of the runs, not a sort.
+	cand := c.neighScratch[:0]
+	runs := c.runScratch[:0]
+	for _, root := range c.idx.trees {
+		start, taken := len(cand), 0
+		root.revEach(func(n *node) bool {
+			if n.dirty {
+				return true
+			}
+			cand = append(cand, n)
+			taken++
+			return taken < k
+		})
+		runs = append(runs, nodeRun{at: start, end: len(cand)})
+	}
+	c.neighScratch = cand
+	c.runScratch = runs
+	out := c.mergeScratch[:0]
+	for len(out) < k {
+		best := -1
+		for t := range runs {
+			if r := runs[t]; r.at < r.end && (best < 0 || emptierFirst(cand[r.at], cand[runs[best].at])) {
+				best = t
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, cand[runs[best].at])
+		runs[best].at++
+	}
+	c.mergeScratch = out
+	return out
+}
+
+// nodeRun is the unmerged rest [at, end) of one type's run in
+// neighborhood's candidate buffer.
+type nodeRun struct{ at, end int }
+
+// emptierFirst is the neighborhood order: most-requested score asc, id
+// desc among equal scores.
+func emptierFirst(a, b *node) bool {
+	return a.idxScore < b.idxScore || (a.idxScore == b.idxScore && a.id > b.id)
+}
+
+// neighborhoodScan is neighborhood over a fleet scan (Reference mode,
+// which keeps no capacity index): per-type sorts, then one overall
+// sort on precomputed scores.
+func (c *Cluster) neighborhoodScan(k int) []*node {
+	byType := make([][]*node, len(c.cat))
+	for _, n := range c.nodes {
+		if n.live && !n.dirty {
+			byType[n.typ] = append(byType[n.typ], n)
+		}
+	}
+	var cand []*node
+	for _, ns := range byType {
+		sort.Slice(ns, func(a, b int) bool {
+			sa, sb := c.score(ns[a]), c.score(ns[b])
+			return sa < sb || (sa == sb && ns[a].id > ns[b].id)
+		})
+		if len(ns) > k {
+			ns = ns[:k]
+		}
+		cand = append(cand, ns...)
+	}
 	sc := c.scoredScratch[:0]
 	for _, n := range cand {
 		sc = append(sc, scoredNode{n: n, score: c.score(n)})
@@ -267,7 +328,8 @@ func (c *Cluster) neighborhood(k int) []*node {
 	return out
 }
 
-// reconcile maps an optimized placement onto the candidate nodes: nodes
+// reconcile maps an optimized placement (with sigs[j] = VMSigOf of
+// improved[j]) onto the candidate nodes: nodes
 // whose type and contents are unchanged are kept (their cost clock
 // keeps running), the rest are retired and replacements created. The
 // moves counter records how much the optimizer actually churned.
@@ -281,7 +343,7 @@ func (c *Cluster) neighborhood(k int) []*node {
 // touched candidates (changed or retired) from their pods' placement
 // maps. Phase 3 applies: rewrites changed nodes, creates replacements
 // in improved order, retires the unmatched.
-func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM) {
+func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM, sigs []cloudsim.VMSig) {
 	now := c.eng.Now()
 	// Phase 1: signature-match improved VMs to candidates.
 	if c.avail == nil {
@@ -290,10 +352,8 @@ func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM) {
 		clear(c.avail)
 	}
 	next := c.availNext[:0]
-	sigs := c.sigScratch[:0]
 	for k, n := range cand {
-		sig := cloudsim.VMSigOf(n.typ, n.items)
-		sigs = append(sigs, sig)
+		sig := n.signature()
 		next = append(next, -1)
 		if ch, ok := c.avail[sig]; ok {
 			next[ch.tail] = int32(k)
@@ -304,15 +364,14 @@ func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM) {
 		}
 	}
 	c.availNext = next
-	c.sigScratch = sigs
 	match := c.matchScratch[:0]
 	eq := c.eqScratch[:0]
 	matched := c.candMatched[:0]
 	for range cand {
 		matched = append(matched, false)
 	}
-	for _, pv := range improved {
-		sig := cloudsim.VMSigOf(pv.Type, pv.Items)
+	for j, pv := range improved {
+		sig := sigs[j]
 		ch, ok := c.avail[sig]
 		if !ok {
 			match = append(match, -1)
@@ -369,6 +428,7 @@ func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM) {
 			n.items = append(n.items[:0], pv.Items...)
 			n.recompute()
 			c.touchNode(n)
+			n.sig, n.sigOK = sigs[j], true
 			relink(n)
 			continue
 		}
@@ -380,6 +440,7 @@ func (c *Cluster) reconcile(cand []*node, improved []cloudsim.PlacedVM) {
 		n.items = append(n.items, pv.Items...)
 		n.recompute()
 		c.touchNode(n)
+		n.sig, n.sigOK = sigs[j], true
 		relink(n)
 		if len(n.items) == 0 {
 			n.idleSince = now
