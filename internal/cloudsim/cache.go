@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // The packing cache: churn in a cluster lifecycle run repeatedly
@@ -142,7 +143,7 @@ type packEntry struct {
 	key        PackKey
 	input      []PlacedVM // canonical group, deep-copied (verification)
 	output     []PlacedVM // OptimizeHostlo(input) — treated as read-only
-	sigs       []VMSig    // VMSigOf of each output VM, in order — read-only
+	sigs       []VMSig    // VMSigOf of each output VM, in order — read-only; nil until first hit on a restored entry
 	prev, next int32      // LRU neighbours in PackCache.entries, -1 = none
 }
 
@@ -158,6 +159,7 @@ type packEntry struct {
 // installs itself through its own map.
 type PackCache struct {
 	cap        int
+	ix         *PackCacheIndex   // the index this cache was restored from, or nil
 	base       map[PackKey]int32 // restored key → slot, shared read-only; stale once the slot is recycled
 	m          map[PackKey]int32 // installed key → slot
 	entries    []packEntry
@@ -211,6 +213,11 @@ func (pc *PackCache) Lookup(key PackKey, group []PlacedVM) ([]PlacedVM, []VMSig,
 	pc.hits++
 	pc.moveToFront(i)
 	e := &pc.entries[i]
+	if e.sigs == nil && len(e.output) > 0 {
+		// A restored entry, still in its original slot (Install always
+		// supplies signatures): take them from the shared index.
+		e.sigs = pc.ix.outputSigs(i)
+	}
 	return e.output, e.sigs, true
 }
 
@@ -297,17 +304,18 @@ func (pc *PackCache) State() *PackCacheState {
 	return st
 }
 
-// PackCacheIndex is a captured state with every entry's key and output
-// signatures computed, the keys checked duplicate-free and mapped to
-// their positions: the part of a restore that hashes. It is read-only,
-// so one index restores any number of caches, concurrently, and they
-// all share its key map, its signatures and the state's entry slices
-// (the cache never mutates installed slices).
+// PackCacheIndex is a captured state with every entry's key computed,
+// checked duplicate-free and mapped to its position: the part of a
+// restore that hashes. One index restores any number of caches,
+// concurrently, and they all share its key map, the state's entry
+// slices (the cache never mutates installed slices) and the entries'
+// output signatures. Those are hashed once per index, on the first hit
+// of any restored cache, because a branch hits few of the entries.
 type PackCacheIndex struct {
 	st    *PackCacheState
-	keys  []PackKey         // keys[i] = GroupKey(st.Entries[i].Input)
-	sigs  [][]VMSig         // sigs[i] = AppendSigs(nil, st.Entries[i].Output)
-	slots map[PackKey]int32 // keys[i] → i
+	keys  []PackKey                 // keys[i] = GroupKey(st.Entries[i].Input)
+	slots map[PackKey]int32         // keys[i] → i
+	sigs  []atomic.Pointer[[]VMSig] // AppendSigs(nil, st.Entries[i].Output), once hit
 }
 
 // IndexPackCache keys a captured state. A nil state, or one with a
@@ -321,7 +329,7 @@ func IndexPackCache(st *PackCacheState) (*PackCacheIndex, error) {
 	if n > st.Cap {
 		return nil, fmt.Errorf("cloudsim: pack cache state holds %d entries, capacity %d", n, st.Cap)
 	}
-	ix := &PackCacheIndex{st: st, keys: make([]PackKey, n), sigs: make([][]VMSig, n), slots: make(map[PackKey]int32, n)}
+	ix := &PackCacheIndex{st: st, keys: make([]PackKey, n), slots: make(map[PackKey]int32, n), sigs: make([]atomic.Pointer[[]VMSig], n)}
 	// From the least recent end: the order in which a duplicate has
 	// always been reported.
 	for i := n - 1; i >= 0; i-- {
@@ -331,18 +339,6 @@ func IndexPackCache(st *PackCacheState) (*PackCacheIndex, error) {
 		}
 		ix.keys[i] = key
 		ix.slots[key] = int32(i)
-	}
-	// One signature arena for every entry, each entry's run capped so
-	// nothing can append into its neighbour.
-	total := 0
-	for _, e := range st.Entries {
-		total += len(e.Output)
-	}
-	arena := make([]VMSig, 0, total)
-	for i, e := range st.Entries {
-		start := len(arena)
-		arena = AppendSigs(arena, e.Output)
-		ix.sigs[i] = arena[start:len(arena):len(arena)]
 	}
 	return ix, nil
 }
@@ -358,6 +354,7 @@ func (ix *PackCacheIndex) Restore() *PackCache {
 	st, n := ix.st, len(ix.keys)
 	pc := &PackCache{
 		cap:       st.Cap,
+		ix:        ix,
 		base:      ix.slots,
 		m:         make(map[PackKey]int32),
 		entries:   make([]packEntry, n),
@@ -371,13 +368,25 @@ func (ix *PackCacheIndex) Restore() *PackCache {
 	// i+1.
 	for i, key := range ix.keys {
 		se := &st.Entries[i]
-		pc.entries[i] = packEntry{key: key, input: se.Input, output: se.Output, sigs: ix.sigs[i], prev: int32(i) - 1, next: int32(i) + 1}
+		pc.entries[i] = packEntry{key: key, input: se.Input, output: se.Output, prev: int32(i) - 1, next: int32(i) + 1}
 	}
 	if n > 0 {
 		pc.entries[n-1].next = -1
 		pc.head, pc.tail = 0, int32(n-1)
 	}
 	return pc
+}
+
+// outputSigs returns the output signatures of entry i, hashing them on
+// the first call. Concurrent callers may both hash; they store equal
+// values.
+func (ix *PackCacheIndex) outputSigs(i int32) []VMSig {
+	if p := ix.sigs[i].Load(); p != nil {
+		return *p
+	}
+	sigs := AppendSigs(nil, ix.st.Entries[i].Output)
+	ix.sigs[i].Store(&sigs)
+	return sigs
 }
 
 // Stats reports lifetime hit/miss/eviction counts.

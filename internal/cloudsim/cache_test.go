@@ -229,6 +229,57 @@ func TestRestoredPackCacheMatchesOriginal(t *testing.T) {
 	}
 }
 
+// TestPackCacheLookupSignatures: a key folded from per-VM signatures in
+// any VM order equals GroupKey, and every hit — on the installing
+// cache, and on caches restored from one index, concurrently — returns
+// the output's signatures exactly as AppendSigs computes them.
+func TestPackCacheLookupSignatures(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	orig := NewPackCache(16)
+	var groups, outs [][]PlacedVM
+	for i := 0; i < 12; i++ {
+		g := randGroup(r, fmt.Sprintf("s%d", i))
+		var key PackKey
+		for _, pv := range shuffled(r, g) {
+			key.Add(VMSigOf(pv.Type, pv.Items))
+		}
+		if key != GroupKey(g) {
+			t.Fatalf("group %d: folded key %+v, GroupKey %+v", i, key, GroupKey(g))
+		}
+		out := OptimizeHostlo(g, Catalog())
+		orig.Install(key, g, out, AppendSigs(nil, out))
+		groups, outs = append(groups, g), append(outs, out)
+	}
+	check := func(pc *PackCache) error {
+		for i, g := range groups {
+			out, sigs, ok := pc.Lookup(GroupKey(g), g)
+			if !ok || !reflect.DeepEqual(out, outs[i]) {
+				return fmt.Errorf("group %d: miss or wrong output", i)
+			}
+			if want := AppendSigs(nil, outs[i]); !reflect.DeepEqual(sigs, want) {
+				return fmt.Errorf("group %d: signatures %v, want %v", i, sigs, want)
+			}
+		}
+		return nil
+	}
+	if err := check(orig); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := IndexPackCache(orig.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 4)
+	for k := 0; k < 4; k++ {
+		go func() { errs <- check(ix.Restore()) }()
+	}
+	for k := 0; k < 4; k++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestIndexPackCacheRejectsBadState: a state whose entries outnumber its
 // capacity, or that holds one group twice, fails to index.
 func TestIndexPackCacheRejectsBadState(t *testing.T) {

@@ -453,8 +453,8 @@ type node struct {
 
 	// sig caches VMSigOf(typ, items) while sigOK; touchNode, which
 	// every item mutation calls, clears sigOK (see signature).
-	sig   cloudsim.VMSig
 	sigOK bool
+	sig   cloudsim.VMSig
 
 	// Cloud-model identity, fixed at creation.
 	zone      int     // failure-domain index, < Config.Zones
