@@ -143,7 +143,7 @@ type packEntry struct {
 	key        PackKey
 	input      []PlacedVM // canonical group, deep-copied (verification)
 	output     []PlacedVM // OptimizeHostlo(input) — treated as read-only
-	sigs       []VMSig    // VMSigOf of each output VM, in order — read-only; nil until first hit on a restored entry
+	sigs       []VMSig    // VMSigOf of each output VM — read-only; nil on a restored entry until its first hit
 	prev, next int32      // LRU neighbours in PackCache.entries, -1 = none
 }
 
