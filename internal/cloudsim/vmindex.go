@@ -14,13 +14,10 @@ import (
 // (heap layout: node 1 is the root, node i's children are 2i and 2i+1,
 // leaf ord sits at size+ord). A leaf holds its VM's free CPU, free
 // memory and waste; an internal node holds the maxima of its children.
-// A query is a branch-and-bound descent: a subtree whose free-capacity
-// maxima fall short of the request cannot hold a fit, and one whose
-// waste maximum cannot beat the best fit found so far (with the
-// earliest ordinal winning ties) cannot hold a better one, so both are
-// pruned whole. Updating a VM rewrites its leaf and the ancestors whose
-// maxima change. Absent VMs (the consolidation source, ordinals past
-// the fleet) hold -Inf everywhere and never fit.
+// A query is a branch-and-bound descent (see search). Updating a VM
+// rewrites its leaf and the ancestors whose maxima change. Absent VMs
+// (the consolidation source, ordinals past the fleet) hold -Inf
+// everywhere and never fit.
 type vmIndex struct {
 	size  int       // leaf count, a power of two >= the fleet size
 	t     []vmSlot  // 2*size nodes; t[0] is unused
