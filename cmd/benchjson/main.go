@@ -8,7 +8,9 @@
 //
 // Parsing from text (rather than re-running benchmarks in-process)
 // keeps the tool composable: any benchmark selection, count or
-// benchtime works, and CI captures exactly what the log shows.
+// benchtime works, and CI captures exactly what the log shows. Names
+// are recorded bare: the -N suffix `go test` appends on a multi-core
+// box (N = GOMAXPROCS) is dropped, so runs on any box compare.
 //
 // With -baseline the tool becomes a regression gate instead: the parsed
 // run is compared against a previously committed JSON document and the
