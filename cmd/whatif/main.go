@@ -31,6 +31,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -111,12 +112,12 @@ func main() {
 	fmt.Fprintf(os.Stderr,
 		"whatif: base ready in %v — %d pods, snapshot at %v (%d bytes), base digest %s\n",
 		time.Since(start).Round(time.Millisecond), st.BasePods, st.SnapAt, st.SnapshotB, st.BaseDigest)
-	fmt.Fprintf(os.Stderr, "whatif: serving %s on http://%s (kinds: %s)\n",
-		"/whatif /stats /base", *addr, strings.Join(snapshot.KindNames(), " "))
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		cli.Fatal("whatif", err)
 	}
+	fmt.Fprintf(os.Stderr, "whatif: serving %s on http://%s (kinds: %s)\n",
+		"/whatif /stats /base", *addr, strings.Join(snapshot.KindNames(), " "))
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := serve(ctx, ln, svc.Handler(), shutdownDrain); err != nil {
@@ -150,13 +151,14 @@ func serve(ctx context.Context, ln net.Listener, h http.Handler, drain time.Dura
 		return err
 	case <-ctx.Done():
 	}
-	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	// ctx is done; the drain gets a deadline of its own.
+	dctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), drain)
 	defer cancel()
 	if err := srv.Shutdown(dctx); err != nil {
-		srv.Close()
+		_ = srv.Close() // the drain's failure is the error to report
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	if err := <-served; err != http.ErrServerClosed {
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
 	return nil
