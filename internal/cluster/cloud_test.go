@@ -12,6 +12,7 @@ import (
 	"nestless/internal/cloud"
 	"nestless/internal/cluster"
 	"nestless/internal/faults"
+	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
@@ -246,10 +247,13 @@ func TestSpotChaosReplay(t *testing.T) {
 // reference must agree byte for byte under spot + zones too.
 func TestSpotChaosMatchesReference(t *testing.T) {
 	users := trace.Generate(churnConfig(21, 4))
+	var lines []string
 	for _, seed := range []int64{2, 5} {
 		cfg := spotChaosConfig(t, seed, users[int(seed)%len(users)].Pods)
-		requireIdentical(t, cfg)
+		_, line := pinCell(t, fmt.Sprintf("seed%d", seed), cfg)
+		lines = append(lines, line)
 	}
+	golden.Check(t, "testdata/reference_spot_chaos.golden", lines)
 }
 
 // TestZoneSpreadBalanced: with a static workload (no departures, no

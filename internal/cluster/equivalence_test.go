@@ -11,6 +11,7 @@ import (
 
 	"nestless/internal/cluster"
 	"nestless/internal/faults"
+	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
@@ -55,7 +56,7 @@ func runMode(t *testing.T, cfg cluster.Config, reference bool) (cluster.Result, 
 }
 
 // requireIdentical runs cfg in both modes and fails on any divergence.
-func requireIdentical(t *testing.T, cfg cluster.Config) cluster.Result {
+func requireIdentical(t *testing.T, cfg cluster.Config) (cluster.Result, string) {
 	t.Helper()
 	indexed, itrace := runMode(t, cfg, false)
 	linear, ltrace := runMode(t, cfg, true)
@@ -68,13 +69,24 @@ func requireIdentical(t *testing.T, cfg cluster.Config) cluster.Result {
 	if itrace == "" {
 		t.Fatal("empty telemetry trace — recorder not wired")
 	}
-	return indexed
+	return indexed, itrace
+}
+
+// pinCell runs one equivalence cell and returns its result and its
+// golden line: the cell name, the SHA-256 of the Result's JSON and the
+// SHA-256 of the text telemetry trace. The testdata/reference_*.golden
+// files hold these lines as the linear-scan reference produced them.
+func pinCell(t *testing.T, cell string, cfg cluster.Config) (cluster.Result, string) {
+	t.Helper()
+	res, tr := requireIdentical(t, cfg)
+	return res, fmt.Sprintf("%s result=%s trace=%s", cell, golden.Digest(t, res), golden.SHA256(tr))
 }
 
 // TestIndexedMatchesReferenceChurn sweeps seeded churned workloads
 // through all three regimes.
 func TestIndexedMatchesReferenceChurn(t *testing.T) {
 	var scheduled int
+	var lines, fullLines []string
 	for _, seed := range []int64{1, 2, 3, 4} {
 		users := trace.Generate(churnConfig(seed, 6))
 		for ui, u := range users {
@@ -89,14 +101,21 @@ func TestIndexedMatchesReferenceChurn(t *testing.T) {
 					BootDelay: 30 * time.Second,
 				}
 				mode.adjust(&cfg)
-				res := requireIdentical(t, cfg)
+				res, line := pinCell(t, fmt.Sprintf("seed%d/user%d/%s", seed, ui, mode.name), cfg)
 				scheduled += res.Scheduled
+				if cfg.FullRepack {
+					fullLines = append(fullLines, line)
+				} else {
+					lines = append(lines, line)
+				}
 			}
 		}
 	}
 	if scheduled == 0 {
 		t.Fatal("no pod was ever scheduled — the sweep exercised nothing")
 	}
+	golden.Check(t, "testdata/reference_churn.golden", lines)
+	golden.Check(t, "testdata/reference_churn_full.golden", fullLines)
 }
 
 // TestIndexedMatchesReferenceFaults adds node kills, provisioning
@@ -109,6 +128,7 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 	}
 	users := trace.Generate(churnConfig(17, 6))
 	var kills int
+	var lines, fullLines []string
 	for si, spec := range specs {
 		sched, err := faults.ParseSpec(spec)
 		if err != nil {
@@ -124,13 +144,20 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 				MaxSteps:  2_000_000,
 			}
 			mode.adjust(&cfg)
-			res := requireIdentical(t, cfg)
+			res, line := pinCell(t, fmt.Sprintf("spec%d/%s", si, mode.name), cfg)
 			kills += res.Kills
+			if cfg.FullRepack {
+				fullLines = append(fullLines, line)
+			} else {
+				lines = append(lines, line)
+			}
 		}
 	}
 	if kills == 0 {
 		t.Error("no run killed a node — the displacement path went unexercised")
 	}
+	golden.Check(t, "testdata/reference_faults.golden", lines)
+	golden.Check(t, "testdata/reference_faults_full.golden", fullLines)
 }
 
 // TestIndexedMatchesReferenceSplit pins the split-placement path: pods
@@ -161,6 +188,7 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			Containers: []trace.Container{{CPU: 0.01, Mem: 0.01}},
 		})
 	}
+	var lines, fullLines []string
 	for _, full := range []bool{false, true} {
 		cfg := cluster.Config{
 			Seed:       5,
@@ -170,7 +198,12 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			BootDelay:  30 * time.Second,
 			FullRepack: full,
 		}
-		res := requireIdentical(t, cfg)
+		res, line := pinCell(t, fmt.Sprintf("hostlo/full=%v", full), cfg)
+		if full {
+			fullLines = append(fullLines, line)
+		} else {
+			lines = append(lines, line)
+		}
 		if res.Failed != 0 {
 			t.Fatalf("full=%v: %d wide pods failed — split placement did not engage", full, res.Failed)
 		}
@@ -183,10 +216,12 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 		Seed: 5, Pods: pods, Policy: cluster.Kubernetes,
 		Horizon: 5 * time.Hour, BootDelay: 30 * time.Second,
 	}
-	res := requireIdentical(t, cfg)
+	res, line := pinCell(t, "kubernetes", cfg)
 	if res.Failed != 4 {
 		t.Fatalf("kubernetes: failed %d, want the 4 wide pods", res.Failed)
 	}
+	golden.Check(t, "testdata/reference_split.golden", append(lines, line))
+	golden.Check(t, "testdata/reference_split_full.golden", fullLines)
 }
 
 // TestIncrementalOptimizerEngages proves the dirty-set policy actually
@@ -220,7 +255,8 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 	// This workload is the one that actually drives incremental passes,
 	// so pin the dual-path neighborhood selection (treap tail-walk vs
 	// fleet scan) on it too.
-	requireIdentical(t, base)
+	_, line := pinCell(t, "incremental", base)
+	golden.Check(t, "testdata/reference_incremental.golden", []string{line})
 	res := cluster.Simulate(base)
 	if res.OptimizerRuns == 0 {
 		t.Fatal("optimizer never ran")
@@ -420,5 +456,6 @@ func TestPackCacheEquivalence(t *testing.T) {
 		t.Fatalf("telemetry diverged beyond cache counters (%d vs %d bytes)", len(got), len(want))
 	}
 	// The cached world must also still match the linear reference.
-	requireIdentical(t, on)
+	_, line := pinCell(t, "pack-cache", on)
+	golden.Check(t, "testdata/reference_pack_cache.golden", []string{line})
 }

@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"nestless/internal/ctrace"
+	"nestless/internal/golden"
 	"nestless/internal/sim"
+	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
 
@@ -74,12 +78,19 @@ func TestSimulateSourceMatchesPods(t *testing.T) {
 // TestStreamLeakFree audits the streaming books directly: feed, run,
 // then run the leak checker, including an end event that catches its
 // pod still pending (huge BootDelay keeps the queue backed up).
+//
+// The run's Result and text telemetry are pinned in
+// testdata/reference_stream.golden as the linear-scan reference
+// produced them.
 func TestStreamLeakFree(t *testing.T) {
+	var lines []string
 	for _, ref := range []bool{false, true} {
+		rec := telemetry.New()
 		cfg := Config{
 			Policy:    Kubernetes,
 			Horizon:   2 * time.Hour,
 			BootDelay: 30 * time.Minute, // pods wait; ends hit pending pods
+			Rec:       rec,
 		}
 		cfg.Reference = ref
 		c := New(cfg)
@@ -105,7 +116,16 @@ func TestStreamLeakFree(t *testing.T) {
 		if res.Arrived != 2 || res.Departed != 2 {
 			t.Fatalf("reference=%v result: %+v", ref, res)
 		}
+		var buf bytes.Buffer
+		if err := rec.WriteTextTrace(&buf); err != nil {
+			t.Fatal(err)
+		}
+		lines = append(lines, fmt.Sprintf("stream result=%s trace=%s", golden.Digest(t, res), golden.SHA256(buf.String())))
 	}
+	if lines[0] != lines[1] {
+		t.Fatalf("indexed and reference runs diverged:\n%s\n%s", lines[0], lines[1])
+	}
+	golden.Check(t, "testdata/reference_stream.golden", lines[1:])
 }
 
 // TestStreamFeedValidation exercises the feed-order and duplicate

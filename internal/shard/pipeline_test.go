@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"os"
 	"reflect"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
+	"nestless/internal/golden"
 	"nestless/internal/trace"
 )
 
@@ -44,9 +46,11 @@ func migratorConfig() Config {
 // must be byte-identical to the strict feed-then-advance reference at
 // every shard count, for both migration policies, on a workload where
 // prefetched mailboxes really do get re-routed after migration
-// barriers.
+// barriers. testdata/pipeline.golden pins the SHA-256 of each cell's
+// Result JSON as the strict feed-then-advance loop produced it.
 func TestPipelineEquivalence(t *testing.T) {
 	users := migratorUsers(5)
+	var lines []string
 	for _, policy := range []string{"least-loaded", "locality"} {
 		cfg := migratorConfig()
 		cfg.MigratePolicy = policy
@@ -70,8 +74,10 @@ func TestPipelineEquivalence(t *testing.T) {
 				t.Fatalf("policy %s: pipelined -shards %d diverged from the serial feed\n got %+v\nwant %+v",
 					policy, shards, got.Merged, want.Merged)
 			}
+			lines = append(lines, fmt.Sprintf("%s/shards%d result=%s", policy, shards, golden.Digest(t, got)))
 		}
 	}
+	golden.Check(t, "testdata/pipeline.golden", lines)
 }
 
 // TestRerouteSeqOrder pins the mailbox re-route merge: a moved pod's

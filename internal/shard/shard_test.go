@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"nestless/internal/cluster"
 	"nestless/internal/ctrace"
 	"nestless/internal/faults"
+	"nestless/internal/golden"
 	"nestless/internal/telemetry"
 	"nestless/internal/trace"
 )
@@ -196,6 +198,8 @@ func TestMigrationEquivalence(t *testing.T) {
 // TestTelemetryForcesSerial pins that a recorder yields one
 // deterministic timeline regardless of the requested shard count, and
 // that recording does not perturb the replay results.
+// testdata/telemetry.golden pins the Result and text-trace SHA-256s as
+// the strict feed-then-advance loop produced them.
 func TestTelemetryForcesSerial(t *testing.T) {
 	src := synthSource(t, 17, 20)
 	base := Config{
@@ -233,6 +237,19 @@ func TestTelemetryForcesSerial(t *testing.T) {
 	if !reflect.DeepEqual(plain, r1) {
 		t.Fatal("recording perturbed the replay results")
 	}
+	// Slow boots and eager migration put transfers on the timeline too.
+	base.Cluster.BootDelay = 10 * time.Minute
+	base.MigrateAfter = 5 * time.Minute
+	rm, tm := record(2)
+	if rm.Migrations == 0 {
+		t.Fatal("the migrating cell never migrated")
+	}
+	golden.Check(t, "testdata/telemetry.golden", []string{
+		fmt.Sprintf("shards1 result=%s trace=%s", golden.Digest(t, r1), golden.SHA256(t1)),
+		fmt.Sprintf("shards4 result=%s trace=%s", golden.Digest(t, r4), golden.SHA256(t4)),
+		fmt.Sprintf("plain result=%s", golden.Digest(t, plain)),
+		fmt.Sprintf("migrating result=%s trace=%s", golden.Digest(t, rm), golden.SHA256(tm)),
+	})
 }
 
 // TestReplayRejectsPods pins the workload-source exclusivity guard.
