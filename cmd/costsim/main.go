@@ -43,10 +43,9 @@
 //	costsim -replay t.csv.gz -worlds 8 -migrate-after 20m -migrate-policy locality
 //	costsim -replay big3d.csv.gz -shards 8 -horizon 72h   # multi-day, bounded memory
 //
-// The feed is pipelined by default (epoch N+1 prefetches while epoch N
-// advances; -pipeline=false pins the serial reference loop — both are
-// byte-identical) and each world's stored trajectory is bounded by
-// -sample-cap (default 512 samples, window-folded on the fly).
+// The feed is pipelined (epoch N+1 prefetches while epoch N advances)
+// and each world's stored trajectory is bounded by -sample-cap (default
+// 512 samples, window-folded on the fly).
 //
 // Add -trace out.json for a per-user trace of the placement run and
 // -metrics for the telemetry tables. (-trace names the telemetry
@@ -85,10 +84,6 @@ func main() {
 	gap := flag.Duration("gap", 2*time.Minute, "lifecycle mean pod inter-arrival gap")
 	life := flag.Duration("life", 45*time.Minute, "lifecycle mean pod lifetime (Pareto-tailed)")
 	boot := flag.Duration("boot", 45*time.Second, "lifecycle VM boot delay")
-	reference := flag.Bool("reference", false,
-		"lifecycle: use the linear-scan reference scheduler instead of the capacity index (same placements, O(fleet) per decision — a debugging aid)")
-	fullRepack := flag.Bool("full-repack", false,
-		"lifecycle: pin the Hostlo optimizer to full-fleet passes instead of dirty-set incremental ones")
 	repackCache := flag.Int("repack-cache", 0,
 		"lifecycle: packing-cache entries per cluster world (0 = default 4096, negative = caching off; placements are byte-identical either way)")
 	replay := flag.String("replay", "",
@@ -105,8 +100,6 @@ func main() {
 		"replay: skip malformed trace rows instead of failing")
 	migratePolicy := flag.String("migrate-policy", "least-loaded",
 		"replay: destination policy for -migrate-after transfers: least-loaded or locality")
-	pipeline := flag.Bool("pipeline", true,
-		"replay: overlap feeding epoch N+1 with advancing epoch N (false pins the serial reference loop; both orders are byte-identical)")
 	sampleCap := flag.Int("sample-cap", 0,
 		"replay: bound each world's stored trajectory to this many samples, window-folding on the fly (0 = default 512, negative = unlimited)")
 	cloudSpec := flag.String("cloud", cloud.DefaultName,
@@ -181,7 +174,7 @@ func main() {
 			cli.BadFlag("costsim: -migrate-policy must be least-loaded or locality, got %q", *migratePolicy)
 		}
 	} else {
-		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy", "pipeline", "sample-cap"} {
+		for _, name := range []string{"shards", "worlds", "barrier", "migrate-after", "lenient", "migrate-policy", "sample-cap"} {
 			if explicit[name] {
 				cli.BadFlag("costsim: -%s only applies to a trace replay (add -replay FILE)", name)
 			}
@@ -221,9 +214,7 @@ func main() {
 			path: *replay, seed: *seed, horizon: *horizon, boot: *boot,
 			shards: *shards, worlds: *worlds, barrier: *barrier,
 			migrateAfter: *migrateAfter, migratePolicy: *migratePolicy,
-			pipeline: *pipeline, sampleCap: *sampleCap,
-			lenient: *lenient, sched: sched,
-			reference: *reference, fullRepack: *fullRepack,
+			sampleCap: *sampleCap, lenient: *lenient, sched: sched,
 			repackCache: *repackCache, cloud: cl, rec: tf.Recorder(), emit: emit,
 		})
 		tf.EmitOrDie("costsim")
@@ -234,7 +225,6 @@ func main() {
 		runLifecycle(lifecycleOpts{
 			users: *users, seed: *seed, horizon: *horizon, gap: *gap,
 			life: *life, boot: *boot, workers: *workers, sched: sched,
-			reference: *reference, fullRepack: *fullRepack,
 			repackCache: *repackCache, cloud: cl, rec: tf.Recorder(), emit: emit,
 		})
 		tf.EmitOrDie("costsim")
@@ -343,8 +333,6 @@ type lifecycleOpts struct {
 	boot        time.Duration
 	workers     int
 	sched       *faults.Schedule
-	reference   bool
-	fullRepack  bool
 	repackCache int
 	cloud       *cloud.Resolved
 	rec         *telemetry.Recorder
@@ -375,8 +363,6 @@ func runLifecycle(o lifecycleOpts) {
 		Horizon:       o.horizon,
 		BootDelay:     o.boot,
 		Faults:        o.sched,
-		Reference:     o.reference,
-		FullRepack:    o.fullRepack,
 		PackCacheSize: o.repackCache,
 		Zones:         o.cloud.Zones,
 		ZoneNames:     o.cloud.ZoneNames,
@@ -459,12 +445,9 @@ type replayOpts struct {
 	barrier       time.Duration
 	migrateAfter  time.Duration
 	migratePolicy string
-	pipeline      bool
 	sampleCap     int
 	lenient       bool
 	sched         *faults.Schedule
-	reference     bool
-	fullRepack    bool
 	repackCache   int
 	cloud         *cloud.Resolved
 	rec           *telemetry.Recorder
@@ -488,7 +471,6 @@ func runReplay(o replayOpts) {
 			BarrierEvery:  o.barrier,
 			MigrateAfter:  o.migrateAfter,
 			MigratePolicy: o.migratePolicy,
-			SerialFeed:    !o.pipeline,
 			Cluster: cluster.Config{
 				Policy:        policy,
 				Seed:          o.seed,
@@ -497,8 +479,6 @@ func runReplay(o replayOpts) {
 				BootDelay:     o.boot,
 				SampleCap:     o.sampleCap,
 				Faults:        o.sched,
-				Reference:     o.reference,
-				FullRepack:    o.fullRepack,
 				PackCacheSize: o.repackCache,
 				Zones:         o.cloud.Zones,
 				ZoneNames:     o.cloud.ZoneNames,

@@ -73,7 +73,7 @@ func (c *Cluster) nodeReady(typ, zone int, spot bool) {
 		c.rec.Instant("cluster/autoscaler", "node-ready", "type", float64(typ))
 	}
 	n.idleSince = c.eng.Now()
-	if c.queueLen() > 0 {
+	if len(c.pq) > 0 {
 		c.kickSchedule()
 	}
 }
@@ -182,7 +182,7 @@ func (c *Cluster) tick() {
 	}
 	// 2. Displaced pods (and any queue backlog) go back through the
 	// scheduler.
-	if c.queueLen() > 0 {
+	if len(c.pq) > 0 {
 		c.kickSchedule()
 	}
 	// 3. Idle reclaim with hysteresis. In reconciler mode the reclaim is
@@ -199,7 +199,7 @@ func (c *Cluster) tick() {
 	}
 	// 4. Hostlo: re-pack what churn fragmented, but never under a
 	// backlog — the pending queue would immediately re-dirty the fleet.
-	if c.cfg.Policy == Hostlo && c.dirty && c.queueLen() == 0 {
+	if c.cfg.Policy == Hostlo && c.dirty && len(c.pq) == 0 {
 		c.optimize()
 	}
 	next := now + sim.Time(c.cfg.ScaleEvery)
@@ -253,14 +253,7 @@ func (c *Cluster) drainNode(n *node, now sim.Time) {
 			continue
 		}
 		seen[it.Pod] = true
-		if c.cfg.Reference {
-			for i := range c.pods {
-				if c.pods[i].pod.ID == it.Pod {
-					victims = append(victims, i)
-					break
-				}
-			}
-		} else if i, ok := c.podOf(it.Pod); ok {
+		if i, ok := c.podOf(it.Pod); ok {
 			victims = append(victims, i)
 		}
 	}

@@ -57,19 +57,10 @@ func scaleWorkload(n int) []trace.Pod {
 
 // BenchmarkLifecycleScale is the trace-scale benchmark family behind
 // the indexed scheduling core: full lifecycle runs at 1k / 10k / 100k
-// pods. Three modes per policy:
-//
-//   - indexed: the default — capacity index, heap queue, dirty-set
-//     incremental optimizer.
-//   - reference: linear-scan placement with the same incremental
-//     optimizer policy (byte-identical decisions; isolates the scan
-//     cost).
-//   - legacy: linear scan plus full-fleet repack on every optimizer
-//     pass — the pre-index behavior, the honest "before" row.
-//
-// The reference and legacy rows exist to measure the speedup; they are
-// skipped at 100k, where an O(fleet) cost per decision makes a single
-// run take minutes to hours.
+// pods (and 1M behind BENCH_1M=1) per policy, with the capacity index,
+// heap queue and dirty-set incremental optimizer. The rows keep their
+// "indexed" suffix so BENCH_core.json's history and the CI gate read
+// the same keys as when linear-scan rows ran beside them.
 //
 // BootDelay is zero here, unlike BenchmarkSchedulerThroughput: the
 // autoscaler admits one provisioning request in flight at a time, so a
@@ -83,15 +74,6 @@ func BenchmarkLifecycleScale(b *testing.B) {
 		name string
 		n    int
 	}{{"1k", 1_000}, {"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}}
-	modes := []struct {
-		name       string
-		reference  bool
-		fullRepack bool
-	}{
-		{"indexed", false, false},
-		{"reference", true, false},
-		{"legacy", true, true},
-	}
 	for _, sz := range sizes {
 		if sz.n >= 1_000_000 && os.Getenv("BENCH_1M") == "" {
 			// The 1M row is the headline "lifecycle in minutes" run
@@ -102,41 +84,24 @@ func BenchmarkLifecycleScale(b *testing.B) {
 		}
 		pods := scaleWorkload(sz.n)
 		for _, pol := range []cluster.Policy{cluster.Kubernetes, cluster.Hostlo} {
-			for _, m := range modes {
-				if m.reference && sz.n >= 100_000 {
-					continue
+			b.Run(sz.name+"/"+pol.String()+"/indexed", func(b *testing.B) {
+				cfg := cluster.Config{
+					Seed:    1,
+					Pods:    pods,
+					Policy:  pol,
+					Horizon: 6 * time.Hour,
 				}
-				if m.fullRepack && pol != cluster.Hostlo {
-					// Full repack only differs under Hostlo.
-					continue
+				scheduled := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					res := cluster.Simulate(cfg)
+					scheduled += res.Scheduled
 				}
-				if m.fullRepack && sz.n >= 10_000 && os.Getenv("BENCH_LEGACY") == "" {
-					// A full O(fleet²) optimizer pass per drain at 10k pods
-					// takes many minutes; opt in with BENCH_LEGACY=1 (the
-					// EXPERIMENTS.md worked example records one such run).
-					continue
+				b.StopTimer()
+				if secs := b.Elapsed().Seconds(); secs > 0 {
+					b.ReportMetric(float64(scheduled)/secs, "pods/s")
 				}
-				b.Run(sz.name+"/"+pol.String()+"/"+m.name, func(b *testing.B) {
-					cfg := cluster.Config{
-						Seed:       1,
-						Pods:       pods,
-						Policy:     pol,
-						Horizon:    6 * time.Hour,
-						Reference:  m.reference,
-						FullRepack: m.fullRepack,
-					}
-					scheduled := 0
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						res := cluster.Simulate(cfg)
-						scheduled += res.Scheduled
-					}
-					b.StopTimer()
-					if secs := b.Elapsed().Seconds(); secs > 0 {
-						b.ReportMetric(float64(scheduled)/secs, "pods/s")
-					}
-				})
-			}
+			})
 		}
 	}
 }

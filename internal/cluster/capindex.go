@@ -25,9 +25,9 @@ import "nestless/internal/cloudsim"
 //
 // Both structures are deterministic: treap priorities are a splitmix64
 // hash of the node id (no RNG), and ties never consult anything but the
-// creation/enqueue order. The linear-scan originals survive behind
-// Config.Reference; the equivalence suite diffs the two modes byte for
-// byte.
+// creation/enqueue order. Golden files recorded from the linear-scan
+// originals pin the decisions byte for byte, and capindex_test.go
+// checks the treap against a linear-scan oracle.
 
 // splitmix64 is the deterministic treap priority hash (node id → prio).
 func splitmix64(x uint64) uint64 {

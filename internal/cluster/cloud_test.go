@@ -243,8 +243,9 @@ func TestSpotChaosReplay(t *testing.T) {
 	}
 }
 
-// TestSpotChaosMatchesReference: the indexed core and the linear-scan
-// reference must agree byte for byte under spot + zones too.
+// TestSpotChaosMatchesReference: the indexed core must reproduce the
+// linear-scan reference's pinned output byte for byte under spot +
+// zones too.
 func TestSpotChaosMatchesReference(t *testing.T) {
 	users := trace.Generate(churnConfig(21, 4))
 	var lines []string

@@ -24,9 +24,8 @@
 //
 // Placement decisions are made through the indexed scheduling core
 // (capindex.go): per-type capacity treaps and a priority-heap pending
-// queue give O(log n) decisions at trace scale, while Config.Reference
-// switches back to the original O(fleet) linear scans — the two modes
-// are byte-identical and the equivalence suite diffs them.
+// queue give O(log n) decisions at trace scale. Golden files recorded
+// from the original O(fleet) linear scans pin its output.
 //
 // Determinism is the same hard requirement as everywhere else in
 // nestless: the same seed, workload, and fault schedule reproduce the
@@ -134,21 +133,6 @@ type Config struct {
 	// MaxSteps aborts a runaway event loop (0 = engine default of
 	// unlimited).
 	MaxSteps uint64
-	// Reference switches the scheduler to the original linear-scan
-	// implementation (O(fleet) per decision): the debug reference the
-	// equivalence suite diffs the indexed core against. Placements,
-	// costs and telemetry are byte-identical either way — only the
-	// wall-clock differs.
-	Reference bool
-	// FullRepack forces every Hostlo optimize pass to consider the
-	// whole live fleet, disabling the dirty-set incremental policy —
-	// the equivalence knob for tests that pin full-pass behavior.
-	FullRepack bool
-	// RepackDirtyFrac is the incremental-optimize escape hatch: when
-	// more than this fraction of the live fleet is dirty since the last
-	// pass, the optimizer falls back to a full-fleet pass (default
-	// 0.25). Values >= 1 never fall back.
-	RepackDirtyFrac float64
 	// PackCacheSize bounds the per-cluster packing cache in entries
 	// (0 = default 4096, negative = caching off). A cache hit returns
 	// the placement a fresh optimizer call would produce, so results
@@ -222,9 +206,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = c.Horizon / 12
-	}
-	if c.RepackDirtyFrac <= 0 {
-		c.RepackDirtyFrac = 0.25
 	}
 	if c.PackCacheSize == 0 {
 		c.PackCacheSize = defaultPackCacheSize
@@ -430,7 +411,7 @@ type podRun struct {
 	// onNodes lists the ids of nodes currently holding this pod's
 	// containers (insertion order, no duplicates) — the placement map
 	// that lets departures strip a pod in O(nodes touched) instead of a
-	// fleet scan. Maintained only in indexed mode.
+	// fleet scan.
 	onNodes []int
 }
 
@@ -499,9 +480,7 @@ type Cluster struct {
 	// added. No ID is in both.
 	podBase map[string]int
 
-	// Pending queue: the heap in indexed mode, the sorted slice in
-	// reference mode. Exactly one is in use per run.
-	queue  []int // reference mode: pending pod indices, enqueue order
+	// Pending queue: a max-heap on (cpu+mem, enqueue seq).
 	pq     podQueue
 	enqSeq uint64
 
@@ -518,7 +497,7 @@ type Cluster struct {
 	odFallback int      // pending on-demand fallback credits (revocations)
 	zonePoints []string // "zone/<name>" per zone, precomputed
 
-	// Blocked-head memo (indexed mode): the pod index that last
+	// Blocked-head memo: the pod index that last
 	// returned blocked from tryPlace and the capacity-index version it
 	// blocked at. While both still match and a request is in flight,
 	// schedulePass skips the provably identical retry (see the comment
@@ -564,7 +543,6 @@ type Cluster struct {
 	// stamp instead of clearing.
 	candScratch     []*node
 	neighScratch    []*node
-	scoredScratch   []scoredNode
 	runScratch      []nodeRun
 	mergeScratch    []*node
 	typeCount       []int
@@ -586,14 +564,6 @@ type Cluster struct {
 	podMark         []uint32
 	nodeMark        []uint32
 	markGen         uint32
-}
-
-// scoredNode pairs a node with its precomputed most-requested score so
-// neighborhood ordering sorts without recomputing the score per
-// comparison.
-type scoredNode struct {
-	n     *node
-	score float64
 }
 
 // sigChain is a FIFO of candidate indices sharing one VM signature,
@@ -701,36 +671,11 @@ func (c *Cluster) arrive(i int) {
 	c.kickSchedule()
 }
 
-// enqueue appends a pod to the pending queue.
+// enqueue adds a pod to the pending queue.
 func (c *Cluster) enqueue(i int) {
-	if c.cfg.Reference {
-		c.queue = append(c.queue, i)
-		return
-	}
 	p := &c.pods[i]
 	c.pq.push(podEntry{key: p.cpu + p.mem, seq: c.enqSeq, idx: i})
 	c.enqSeq++
-}
-
-// queueLen is the pending-queue depth (either representation).
-func (c *Cluster) queueLen() int {
-	if c.cfg.Reference {
-		return len(c.queue)
-	}
-	return len(c.pq)
-}
-
-// queuedIndices lists the queued pod indices in unspecified order (the
-// Leaks audit only counts occurrences).
-func (c *Cluster) queuedIndices() []int {
-	if c.cfg.Reference {
-		return c.queue
-	}
-	out := make([]int, len(c.pq))
-	for i, e := range c.pq {
-		out[i] = e.idx
-	}
-	return out
 }
 
 // kickSchedule coalesces schedule requests: at most one pass is queued
@@ -755,7 +700,7 @@ func (c *Cluster) depart(i, gen int) {
 	c.res.Departed++
 	c.count("cluster/departures")
 	c.dirty = true
-	if c.queueLen() > 0 {
+	if len(c.pq) > 0 {
 		c.kickSchedule()
 	}
 }
@@ -786,27 +731,16 @@ func (c *Cluster) stripPod(n *node, id string) bool {
 	return true
 }
 
-// removePlacement strips every container of pod i from the fleet. The
-// indexed path visits only the nodes the placement map names; the
-// reference path scans the fleet like the original implementation.
+// removePlacement strips every container of pod i from the nodes its
+// placement map names.
 func (c *Cluster) removePlacement(i int) {
 	p := &c.pods[i]
-	id := p.pod.ID
-	if c.cfg.Reference {
-		for _, n := range c.nodes {
-			if !n.live || len(n.items) == 0 {
-				continue
-			}
-			c.stripPod(n, id)
-		}
-		return
-	}
 	for _, nid := range p.onNodes {
 		n := c.nodes[nid]
 		if !n.live || len(n.items) == 0 {
 			continue
 		}
-		c.stripPod(n, id)
+		c.stripPod(n, p.pod.ID)
 	}
 	p.onNodes = p.onNodes[:0]
 }
@@ -917,7 +851,7 @@ func (c *Cluster) lastSampleT() (sim.Time, bool) {
 func (c *Cluster) sample() {
 	cost, used, cap := c.fleetRates()
 	s := Sample{
-		T: c.eng.Now(), CostPerH: cost, Pending: c.queueLen(),
+		T: c.eng.Now(), CostPerH: cost, Pending: len(c.pq),
 		Nodes: c.liveCount, UsedCPU: used, CapCPU: cap,
 	}
 	c.recordSample(s)
@@ -952,7 +886,7 @@ func (c *Cluster) finalize() {
 			c.res.FleetTypes = append(c.res.FleetTypes, n.typ)
 		}
 	}
-	c.res.StillPending = c.queueLen()
+	c.res.StillPending = len(c.pq)
 	if c.cfg.Zones > 1 {
 		c.res.ZoneSpread = make([]int, c.cfg.Zones)
 		for _, n := range c.liveList {
@@ -974,7 +908,7 @@ func (c *Cluster) finalize() {
 	}
 	if last, ok := c.lastSampleT(); !ok || last != horizon {
 		c.recordSample(Sample{
-			T: horizon, CostPerH: cost, Pending: c.queueLen(),
+			T: horizon, CostPerH: cost, Pending: len(c.pq),
 			Nodes: c.liveCount, UsedCPU: used, CapCPU: cap,
 		})
 	}
@@ -1026,12 +960,8 @@ func (c *Cluster) score(n *node) float64 {
 
 // touchNode re-indexes a node after its used sums changed (and keeps a
 // dead node out of the index), and invalidates its cached signature.
-// Reference mode maintains no index.
 func (c *Cluster) touchNode(n *node) {
 	n.sigOK = false
-	if c.cfg.Reference {
-		return
-	}
 	if n.indexed {
 		c.idx.remove(n, n.idxScore)
 		n.indexed = false
@@ -1056,12 +986,9 @@ func (c *Cluster) markDirty(n *node) {
 	}
 }
 
-// podNodeLink records that node nid now holds containers of pod i
-// (indexed mode's placement map; no-op for duplicates).
+// podNodeLink records that node nid now holds containers of pod i in
+// the placement map (no-op for duplicates).
 func (c *Cluster) podNodeLink(i, nid int) {
-	if c.cfg.Reference {
-		return
-	}
 	p := &c.pods[i]
 	for _, have := range p.onNodes {
 		if have == nid {
@@ -1074,9 +1001,9 @@ func (c *Cluster) podNodeLink(i, nid int) {
 // Leaks audits the post-run state and returns human-readable invariant
 // violations (empty = clean). It is the cluster analog of
 // vmm.Host.Leaks(): chaos runs call it after every schedule to prove
-// that node kills displace pods without losing or duplicating them. In
-// indexed mode it additionally reconciles the capacity index and the
-// pod→node placement map against the authoritative per-node state.
+// that node kills displace pods without losing or duplicating them. It
+// also reconciles the capacity index and the pod→node placement map
+// against the authoritative per-node state.
 func (c *Cluster) Leaks() []string {
 	var leaks []string
 	leakf := func(format string, args ...interface{}) {
@@ -1131,12 +1058,10 @@ func (c *Cluster) Leaks() []string {
 			leakf("node %s (%s) overcommitted: %v/%v cpu, %v/%v mem",
 				n.name, c.cat[n.typ].Name, n.usedCPU, c.cat[n.typ].RelCPU, n.usedMem, c.cat[n.typ].RelMem)
 		}
-		if !c.cfg.Reference {
-			if !n.indexed {
-				leakf("live node %s missing from the capacity index", n.name)
-			} else if n.idxScore != c.score(n) {
-				leakf("node %s: stale index key %v (current score %v)", n.name, n.idxScore, c.score(n))
-			}
+		if !n.indexed {
+			leakf("live node %s missing from the capacity index", n.name)
+		} else if n.idxScore != c.score(n) {
+			leakf("node %s: stale index key %v (current score %v)", n.name, n.idxScore, c.score(n))
 		}
 		if n.sigOK && n.sig != cloudsim.VMSigOf(n.typ, n.items) {
 			leakf("node %s: stale cached signature %+v (current %+v)", n.name, n.sig, cloudsim.VMSigOf(n.typ, n.items))
@@ -1145,7 +1070,7 @@ func (c *Cluster) Leaks() []string {
 	if live != c.liveCount {
 		leakf("liveCount %d != %d live nodes", c.liveCount, live)
 	}
-	if !c.cfg.Reference && c.idx.size != live {
+	if c.idx.size != live {
 		leakf("capacity index holds %d nodes, %d live", c.idx.size, live)
 	}
 	// Cloud-model reconciliation: the per-zone and spot tallies must
@@ -1186,7 +1111,8 @@ func (c *Cluster) Leaks() []string {
 	// pending pod: departures, failures and transfers remove their
 	// entries eagerly, so a stale entry is a leak.
 	inQueue := map[int]int{}
-	for _, i := range c.queuedIndices() {
+	for _, e := range c.pq {
+		i := e.idx
 		inQueue[i]++
 		if c.pods[i].state != statePending {
 			leakf("queue entry for %v pod %s", c.pods[i].state, c.pods[i].pod.ID)
@@ -1221,22 +1147,20 @@ func (c *Cluster) Leaks() []string {
 			}
 		}
 		// Placement-map reconciliation: nid ∈ onNodes ⟺ node nid holds an
-		// item of the pod (indexed mode only).
-		if !c.cfg.Reference {
-			onMap := map[int]bool{}
-			for _, nid := range p.onNodes {
-				if onMap[nid] {
-					leakf("pod %s placement map lists node %d twice", p.pod.ID, nid)
-				}
-				onMap[nid] = true
-				if !itemNodes[p.pod.ID][nid] {
-					leakf("pod %s placement map lists node %d, which holds none of its items", p.pod.ID, nid)
-				}
+		// item of the pod.
+		onMap := map[int]bool{}
+		for _, nid := range p.onNodes {
+			if onMap[nid] {
+				leakf("pod %s placement map lists node %d twice", p.pod.ID, nid)
 			}
-			for nid := range itemNodes[p.pod.ID] {
-				if !onMap[nid] {
-					leakf("pod %s has items on node %d missing from its placement map", p.pod.ID, nid)
-				}
+			onMap[nid] = true
+			if !itemNodes[p.pod.ID][nid] {
+				leakf("pod %s placement map lists node %d, which holds none of its items", p.pod.ID, nid)
+			}
+		}
+		for nid := range itemNodes[p.pod.ID] {
+			if !onMap[nid] {
+				leakf("pod %s has items on node %d missing from its placement map", p.pod.ID, nid)
 			}
 		}
 	}

@@ -16,77 +16,65 @@ import (
 	"nestless/internal/trace"
 )
 
-// The indexed-vs-reference equivalence suite: the capacity index, the
-// heap pending queue and the index-backed neighborhood selection must
-// reproduce the linear-scan reference implementation byte for byte —
-// same Result (placements, fleet composition, costs, trajectories),
-// same telemetry trace — under churn, node kills and fault schedules,
-// for every scheduling regime. "Byte-identical placement" is the whole
-// contract of the indexed core; these tests are what pins it.
+// The indexed-core pin suite: the capacity index, the heap pending
+// queue and the index-backed neighborhood selection must reproduce the
+// linear-scan reference implementation byte for byte — same Result
+// (placements, fleet composition, costs, trajectories), same telemetry
+// trace — under churn, node kills and fault schedules. The reference
+// implementation is gone from the package; what it produced survives
+// as the testdata/reference_*.golden files, recorded while both
+// implementations still ran and agreed. "Byte-identical placement" is
+// the whole contract of the indexed core; these tests are what pins it.
+// (Cells recorded with Hostlo pinned to full-fleet passes left with
+// that knob; full passes still run whenever the dirty fraction is
+// high, and every Hostlo cell below takes some.)
 
-// policyModes are the three scheduling regimes the suite covers:
-// the Kubernetes baseline, Hostlo with the dirty-set incremental
-// optimizer (the default), and Hostlo pinned to full-fleet passes.
+// policyModes are the scheduling regimes the suite covers: the
+// Kubernetes baseline and Hostlo with the dirty-set incremental
+// optimizer.
 var policyModes = []struct {
 	name   string
 	adjust func(*cluster.Config)
 }{
 	{"kubernetes", func(c *cluster.Config) { c.Policy = cluster.Kubernetes }},
 	{"hostlo", func(c *cluster.Config) { c.Policy = cluster.Hostlo }},
-	{"hostlo-full", func(c *cluster.Config) { c.Policy = cluster.Hostlo; c.FullRepack = true }},
 }
 
-// runMode executes one lifecycle run and returns its result plus the
-// textual telemetry trace.
-func runMode(t *testing.T, cfg cluster.Config, reference bool) (cluster.Result, string) {
+// runMode executes one lifecycle run, audits it, and returns its result
+// plus the textual telemetry trace.
+func runMode(t *testing.T, cfg cluster.Config) (cluster.Result, string) {
 	t.Helper()
-	cfg.Reference = reference
 	rec := telemetry.New()
 	cfg.Rec = rec
 	c := cluster.New(cfg)
 	res := c.Run()
 	if leaks := c.Leaks(); len(leaks) != 0 {
-		t.Fatalf("reference=%v: leaks:\n  %s", reference, strings.Join(leaks, "\n  "))
+		t.Fatalf("leaks:\n  %s", strings.Join(leaks, "\n  "))
 	}
 	var buf bytes.Buffer
 	if err := rec.WriteTextTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.String()
-}
-
-// requireIdentical runs cfg in both modes and fails on any divergence.
-func requireIdentical(t *testing.T, cfg cluster.Config) (cluster.Result, string) {
-	t.Helper()
-	indexed, itrace := runMode(t, cfg, false)
-	linear, ltrace := runMode(t, cfg, true)
-	if !reflect.DeepEqual(indexed, linear) {
-		t.Fatalf("indexed run diverged from linear reference:\nindexed: %+v\nlinear:  %+v", indexed, linear)
-	}
-	if itrace != ltrace {
-		t.Fatalf("telemetry diverged (%d vs %d bytes)", len(itrace), len(ltrace))
-	}
-	if itrace == "" {
+	if buf.Len() == 0 {
 		t.Fatal("empty telemetry trace — recorder not wired")
 	}
-	return indexed, itrace
+	return res, buf.String()
 }
 
 // pinCell runs one equivalence cell and returns its result and its
 // golden line: the cell name, the SHA-256 of the Result's JSON and the
-// SHA-256 of the text telemetry trace. The testdata/reference_*.golden
-// files hold these lines as the linear-scan reference produced them.
+// SHA-256 of the text telemetry trace.
 func pinCell(t *testing.T, cell string, cfg cluster.Config) (cluster.Result, string) {
 	t.Helper()
-	res, tr := requireIdentical(t, cfg)
+	res, tr := runMode(t, cfg)
 	return res, fmt.Sprintf("%s result=%s trace=%s", cell, golden.Digest(t, res), golden.SHA256(tr))
 }
 
 // TestIndexedMatchesReferenceChurn sweeps seeded churned workloads
-// through all three regimes.
+// through both regimes.
 func TestIndexedMatchesReferenceChurn(t *testing.T) {
 	var scheduled int
-	var lines, fullLines []string
+	var lines []string
 	for _, seed := range []int64{1, 2, 3, 4} {
 		users := trace.Generate(churnConfig(seed, 6))
 		for ui, u := range users {
@@ -103,11 +91,7 @@ func TestIndexedMatchesReferenceChurn(t *testing.T) {
 				mode.adjust(&cfg)
 				res, line := pinCell(t, fmt.Sprintf("seed%d/user%d/%s", seed, ui, mode.name), cfg)
 				scheduled += res.Scheduled
-				if cfg.FullRepack {
-					fullLines = append(fullLines, line)
-				} else {
-					lines = append(lines, line)
-				}
+				lines = append(lines, line)
 			}
 		}
 	}
@@ -115,7 +99,6 @@ func TestIndexedMatchesReferenceChurn(t *testing.T) {
 		t.Fatal("no pod was ever scheduled — the sweep exercised nothing")
 	}
 	golden.Check(t, "testdata/reference_churn.golden", lines)
-	golden.Check(t, "testdata/reference_churn_full.golden", fullLines)
 }
 
 // TestIndexedMatchesReferenceFaults adds node kills, provisioning
@@ -128,7 +111,7 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 	}
 	users := trace.Generate(churnConfig(17, 6))
 	var kills int
-	var lines, fullLines []string
+	var lines []string
 	for si, spec := range specs {
 		sched, err := faults.ParseSpec(spec)
 		if err != nil {
@@ -146,18 +129,13 @@ func TestIndexedMatchesReferenceFaults(t *testing.T) {
 			mode.adjust(&cfg)
 			res, line := pinCell(t, fmt.Sprintf("spec%d/%s", si, mode.name), cfg)
 			kills += res.Kills
-			if cfg.FullRepack {
-				fullLines = append(fullLines, line)
-			} else {
-				lines = append(lines, line)
-			}
+			lines = append(lines, line)
 		}
 	}
 	if kills == 0 {
 		t.Error("no run killed a node — the displacement path went unexercised")
 	}
 	golden.Check(t, "testdata/reference_faults.golden", lines)
-	golden.Check(t, "testdata/reference_faults_full.golden", fullLines)
 }
 
 // TestIndexedMatchesReferenceSplit pins the split-placement path: pods
@@ -188,44 +166,33 @@ func TestIndexedMatchesReferenceSplit(t *testing.T) {
 			Containers: []trace.Container{{CPU: 0.01, Mem: 0.01}},
 		})
 	}
-	var lines, fullLines []string
-	for _, full := range []bool{false, true} {
-		cfg := cluster.Config{
-			Seed:       5,
-			Pods:       pods,
-			Policy:     cluster.Hostlo,
-			Horizon:    5 * time.Hour,
-			BootDelay:  30 * time.Second,
-			FullRepack: full,
-		}
-		res, line := pinCell(t, fmt.Sprintf("hostlo/full=%v", full), cfg)
-		if full {
-			fullLines = append(fullLines, line)
-		} else {
-			lines = append(lines, line)
-		}
-		if res.Failed != 0 {
-			t.Fatalf("full=%v: %d wide pods failed — split placement did not engage", full, res.Failed)
-		}
-		if res.Scheduled != len(pods) {
-			t.Fatalf("full=%v: scheduled %d of %d pods", full, res.Scheduled, len(pods))
-		}
-	}
-	// Kubernetes must refuse the wide pods identically in both modes.
+	// The cell name records that it was pinned with full-fleet passes
+	// off (the incremental default).
 	cfg := cluster.Config{
-		Seed: 5, Pods: pods, Policy: cluster.Kubernetes,
-		Horizon: 5 * time.Hour, BootDelay: 30 * time.Second,
+		Seed:      5,
+		Pods:      pods,
+		Policy:    cluster.Hostlo,
+		Horizon:   5 * time.Hour,
+		BootDelay: 30 * time.Second,
 	}
-	res, line := pinCell(t, "kubernetes", cfg)
+	res, hostloLine := pinCell(t, "hostlo/full=false", cfg)
+	if res.Failed != 0 {
+		t.Fatalf("%d wide pods failed — split placement did not engage", res.Failed)
+	}
+	if res.Scheduled != len(pods) {
+		t.Fatalf("scheduled %d of %d pods", res.Scheduled, len(pods))
+	}
+	// Kubernetes must refuse the wide pods.
+	cfg.Policy = cluster.Kubernetes
+	res, kubeLine := pinCell(t, "kubernetes", cfg)
 	if res.Failed != 4 {
 		t.Fatalf("kubernetes: failed %d, want the 4 wide pods", res.Failed)
 	}
-	golden.Check(t, "testdata/reference_split.golden", append(lines, line))
-	golden.Check(t, "testdata/reference_split_full.golden", fullLines)
+	golden.Check(t, "testdata/reference_split.golden", []string{hostloLine, kubeLine})
 }
 
 // TestIncrementalOptimizerEngages proves the dirty-set policy actually
-// runs incremental passes under churn (and none when pinned full). The
+// runs incremental passes under churn. The
 // workload is a large long-lived base fleet — so the dirty fraction
 // stays under the threshold — with a trickle of short-lived pods
 // churning a few nodes at a time.
@@ -253,43 +220,14 @@ func TestIncrementalOptimizerEngages(t *testing.T) {
 		BootDelay: 30 * time.Second,
 	}
 	// This workload is the one that actually drives incremental passes,
-	// so pin the dual-path neighborhood selection (treap tail-walk vs
-	// fleet scan) on it too.
-	_, line := pinCell(t, "incremental", base)
+	// so pin the index-backed neighborhood selection on it too.
+	res, line := pinCell(t, "incremental", base)
 	golden.Check(t, "testdata/reference_incremental.golden", []string{line})
-	res := cluster.Simulate(base)
 	if res.OptimizerRuns == 0 {
 		t.Fatal("optimizer never ran")
 	}
 	if res.OptimizerRuns == res.OptimizerFull {
 		t.Fatalf("all %d passes were full-fleet — the incremental policy never engaged", res.OptimizerRuns)
-	}
-	full := base
-	full.FullRepack = true
-	fres := cluster.Simulate(full)
-	if fres.OptimizerRuns != fres.OptimizerFull {
-		t.Fatalf("FullRepack: %d of %d passes were incremental", fres.OptimizerRuns-fres.OptimizerFull, fres.OptimizerRuns)
-	}
-}
-
-// TestSteadyStateFullAndIncrementalAgree: with no churn the lifecycle
-// converges to the static packing whether or not the optimizer is
-// pinned to full passes — the incremental policy must not change where
-// a drained cluster settles.
-func TestSteadyStateFullAndIncrementalAgree(t *testing.T) {
-	users := trace.Generate(trace.DefaultConfig(13))
-	for _, u := range users[:8] {
-		base := cluster.Config{
-			Seed: 13, Pods: u.Pods, Policy: cluster.Hostlo, Horizon: 2 * time.Hour,
-		}
-		inc := cluster.Simulate(base)
-		full := base
-		full.FullRepack = true
-		fres := cluster.Simulate(full)
-		if inc.FinalCostPerH != fres.FinalCostPerH || inc.FinalNodes != fres.FinalNodes {
-			t.Errorf("user %d: incremental settled at $%v/h %d nodes, full at $%v/h %d nodes",
-				u.ID, inc.FinalCostPerH, inc.FinalNodes, fres.FinalCostPerH, fres.FinalNodes)
-		}
 	}
 }
 
@@ -388,7 +326,7 @@ var workerScenarioResult = cluster.Result{
 // churn, node kills and provisioning faults: the Result and the
 // telemetry trace must match the recorded ones exactly.
 func TestRepackScenarioGolden(t *testing.T) {
-	res, tr := runMode(t, workerScenarioConfig(t), false)
+	res, tr := runMode(t, workerScenarioConfig(t))
 	if !reflect.DeepEqual(res, workerScenarioResult) {
 		t.Fatalf("Result diverged from the recorded pin:\n got: %+v\nwant: %+v", res, workerScenarioResult)
 	}
@@ -437,8 +375,8 @@ func TestPackCacheEquivalence(t *testing.T) {
 	on := base
 	off := base
 	off.PackCacheSize = -1
-	resOn, trOn := runMode(t, on, false)
-	resOff, trOff := runMode(t, off, false)
+	resOn, trOn := runMode(t, on)
+	resOff, trOff := runMode(t, off)
 	if resOn.OptimizerCacheHits == 0 {
 		t.Fatal("cache-on run never hit the cache — the memoization went unexercised")
 	}
@@ -456,6 +394,6 @@ func TestPackCacheEquivalence(t *testing.T) {
 		t.Fatalf("telemetry diverged beyond cache counters (%d vs %d bytes)", len(got), len(want))
 	}
 	// The cached world must also still match the linear reference.
-	_, line := pinCell(t, "pack-cache", on)
+	line := fmt.Sprintf("pack-cache result=%s trace=%s", golden.Digest(t, resOn), golden.SHA256(trOn))
 	golden.Check(t, "testdata/reference_pack_cache.golden", []string{line})
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"slices"
-	"sort"
 
 	"nestless/internal/cloudsim"
 )
@@ -14,11 +13,10 @@ import (
 // dirty set — nodes whose contents changed since the last pass — plus a
 // bounded neighborhood of consolidation targets (the emptiest live
 // nodes by most-requested score), falling back to a full-fleet pass
-// when the dirty fraction exceeds Config.RepackDirtyFrac or when
-// Config.FullRepack pins full passes. Candidate selection is
-// deterministic and identical between the indexed and reference
-// schedulers (the equivalence suite diffs them); whether it uses the
-// capacity index or a fleet scan is purely a wall-clock matter.
+// when the dirty fraction exceeds repackDirtyFrac. Candidate selection
+// is deterministic: the neighborhood comes from the capacity index and
+// picks exactly what a fleet scan would (optimize_test.go keeps that
+// scan as its oracle).
 //
 // Incremental passes are additionally partitioned, canonicalized and
 // memoized (see optimizeGroups): candidates split into disjoint
@@ -37,6 +35,11 @@ import (
 // minNeighborhood is the floor on how many consolidation targets an
 // incremental pass considers alongside the dirty set.
 const minNeighborhood = 8
+
+// repackDirtyFrac is the incremental-optimize escape hatch: when more
+// than this fraction of the live fleet is dirty since the last pass,
+// the optimizer falls back to a full-fleet pass.
+const repackDirtyFrac = 0.25
 
 // optimize runs the Hostlo optimizer over the candidate set and
 // reconciles those nodes to the improved placement. Containers move
@@ -206,9 +209,7 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 			n.dirty = false
 		}
 	}
-	full := c.cfg.FullRepack ||
-		float64(len(cand)) > c.cfg.RepackDirtyFrac*float64(c.liveCount)
-	if full {
+	if float64(len(cand)) > repackDirtyFrac*float64(c.liveCount) {
 		c.compactLive()
 		cand = append(cand[:0], c.liveList...)
 		c.candScratch = cand
@@ -225,14 +226,9 @@ func (c *Cluster) optimizeCandidates() ([]*node, bool) {
 }
 
 // neighborhood returns up to k live non-dirty consolidation targets:
-// the emptiest nodes by (most-requested score asc, id desc). Both
-// selection paths — treap tail-walk and fleet scan — apply the same
-// two-stage rule (up to k per catalog type, then k overall), so they
-// return the identical set.
+// the emptiest nodes by (most-requested score asc, id desc), chosen by
+// a two-stage rule: up to k per catalog type, then k overall.
 func (c *Cluster) neighborhood(k int) []*node {
-	if c.cfg.Reference {
-		return c.neighborhoodScan(k)
-	}
 	// Each type tree's reverse walk yields its run already in the final
 	// order (its key is the node's current score, idxScore), so the
 	// overall first k come from a k-way merge of the runs, not a sort.
@@ -278,54 +274,6 @@ type nodeRun struct{ at, end int }
 // desc among equal scores.
 func emptierFirst(a, b *node) bool {
 	return a.idxScore < b.idxScore || (a.idxScore == b.idxScore && a.id > b.id)
-}
-
-// neighborhoodScan is neighborhood over a fleet scan (Reference mode,
-// which keeps no capacity index): per-type sorts, then one overall
-// sort on precomputed scores.
-func (c *Cluster) neighborhoodScan(k int) []*node {
-	byType := make([][]*node, len(c.cat))
-	for _, n := range c.nodes {
-		if n.live && !n.dirty {
-			byType[n.typ] = append(byType[n.typ], n)
-		}
-	}
-	var cand []*node
-	for _, ns := range byType {
-		sort.Slice(ns, func(a, b int) bool {
-			sa, sb := c.score(ns[a]), c.score(ns[b])
-			return sa < sb || (sa == sb && ns[a].id > ns[b].id)
-		})
-		if len(ns) > k {
-			ns = ns[:k]
-		}
-		cand = append(cand, ns...)
-	}
-	sc := c.scoredScratch[:0]
-	for _, n := range cand {
-		sc = append(sc, scoredNode{n: n, score: c.score(n)})
-	}
-	slices.SortFunc(sc, func(a, b scoredNode) int {
-		switch {
-		case a.score < b.score:
-			return -1
-		case a.score > b.score:
-			return 1
-		case a.n.id > b.n.id:
-			return -1
-		default:
-			return 1
-		}
-	})
-	c.scoredScratch = sc
-	if len(sc) > k {
-		sc = sc[:k]
-	}
-	out := cand[:0]
-	for _, e := range sc {
-		out = append(out, e.n)
-	}
-	return out
 }
 
 // reconcile maps an optimized placement (with sigs[j] = VMSigOf of
@@ -485,7 +433,7 @@ func equalItems(a, b []cloudsim.PlacedItem) bool {
 // maps: bumping the generation invalidates every stale mark at once,
 // so the pass allocates nothing.
 func (c *Cluster) unlinkPods(touched []*node) {
-	if c.cfg.Reference || len(touched) == 0 {
+	if len(touched) == 0 {
 		return
 	}
 	c.markGen++

@@ -181,7 +181,7 @@ func (c *Cluster) KillZoneNow(zoneName string) (int, error) {
 	}
 	before := c.zoneLive[zone]
 	c.killZone(zone, c.eng.Now())
-	if c.queueLen() > 0 {
+	if len(c.pq) > 0 {
 		c.kickSchedule()
 	}
 	return before, nil
@@ -205,7 +205,7 @@ func (c *Cluster) RevokeSpotNow(count int) (int, error) {
 			revoked++
 		}
 	}
-	if c.queueLen() > 0 {
+	if len(c.pq) > 0 {
 		c.kickSchedule()
 	}
 	return revoked, nil

@@ -22,24 +22,21 @@ import (
 // the static one — placing later pods first would let them steal
 // capacity the static packer gave the bigger pod.
 //
-// In indexed mode the queue is the podQueue heap and the fitting node
-// comes from the capacity index (O(log fleet)); in reference mode both
-// revert to the original sorted slice and creation-order fleet scan.
-// The decisions are byte-identical (see capindex.go).
+// The queue is the podQueue heap and the fitting node comes from the
+// capacity index (O(log fleet)); both reproduce the original sorted
+// slice and creation-order fleet scan decision for decision (see
+// capindex.go).
 
 // schedulePass drains the pending queue as far as capacity allows.
 func (c *Cluster) schedulePass() {
 	c.schedPend = false
-	if c.cfg.Reference {
-		c.sortQueue()
-	}
-	for c.queueLen() > 0 {
-		i := c.queueHead()
+	for len(c.pq) > 0 {
+		i := c.pq.peek().idx
 		p := &c.pods[i]
 		if p.state != statePending {
 			// Defensive: a stale queue entry (should not happen; Leaks
 			// would flag it).
-			c.queuePop()
+			c.pq.pop()
 			continue
 		}
 		// Blocked-head memo: schedulePass runs on every event, but most
@@ -50,18 +47,15 @@ func (c *Cluster) schedulePass() {
 		// revert can't alias), and a capacity request is already in
 		// flight, then re-running tryPlace would repeat the exact same
 		// failed queries and skip requestNode: a pure no-op. Skip it.
-		if !c.cfg.Reference && c.inflight > 0 &&
-			i == c.blockedPod && c.idx.ver == c.blockedVer {
+		if c.inflight > 0 && i == c.blockedPod && c.idx.ver == c.blockedVer {
 			break
 		}
 		placed, blocked := c.tryPlace(i)
 		if blocked {
-			if !c.cfg.Reference {
-				c.blockedPod, c.blockedVer = i, c.idx.ver
-			}
+			c.blockedPod, c.blockedVer = i, c.idx.ver
 			break
 		}
-		c.queuePop()
+		c.pq.pop()
 		if placed {
 			c.markScheduled(i)
 		}
@@ -69,39 +63,13 @@ func (c *Cluster) schedulePass() {
 		// already ran inside tryPlace).
 	}
 	if c.rec != nil {
-		c.rec.Instant("cluster/scheduler", "pass", "pending", float64(c.queueLen()))
+		c.rec.Instant("cluster/scheduler", "pass", "pending", float64(len(c.pq)))
 	}
 	// Queue drained: let the Hostlo optimizer re-pack what churn (or
 	// the batch placement) fragmented.
-	if c.queueLen() == 0 && c.cfg.Policy == Hostlo && c.dirty {
+	if len(c.pq) == 0 && c.cfg.Policy == Hostlo && c.dirty {
 		c.optimize()
 	}
-}
-
-// queueHead returns the next pod to place without removing it.
-func (c *Cluster) queueHead() int {
-	if c.cfg.Reference {
-		return c.queue[0]
-	}
-	return c.pq.peek().idx
-}
-
-// queuePop removes the head entry.
-func (c *Cluster) queuePop() {
-	if c.cfg.Reference {
-		c.queue = c.queue[1:]
-		return
-	}
-	c.pq.pop()
-}
-
-// sortQueue orders pending pods biggest-first (stable) — reference mode
-// only; the heap maintains this order incrementally.
-func (c *Cluster) sortQueue() {
-	sort.SliceStable(c.queue, func(a, b int) bool {
-		pa, pb := &c.pods[c.queue[a]], &c.pods[c.queue[b]]
-		return pa.cpu+pa.mem > pb.cpu+pb.mem
-	})
 }
 
 // tryPlace attempts to place pod i. Returns placed=true on success;
@@ -132,14 +100,10 @@ func (c *Cluster) tryPlace(i int) (placed, blocked bool) {
 
 // bestWholeFit returns the most-requested live node that fits
 // (cpu, mem), ties broken by creation order — the static packer's
-// comparator. Indexed mode combines the per-type treap queries,
-// threading the incumbent through so later trees stop at the first
-// entry that cannot beat it; the reference path is the original
-// creation-order fleet scan.
+// comparator. It combines the per-type treap queries, threading the
+// incumbent through so later trees stop at the first entry that cannot
+// beat it.
 func (c *Cluster) bestWholeFit(cpu, mem float64) *node {
-	if c.cfg.Reference {
-		return c.bestWholeFitScan(cpu, mem)
-	}
 	sum := cpu + mem
 	qmin := cpu
 	if mem < cpu {
@@ -150,26 +114,6 @@ func (c *Cluster) bestWholeFit(cpu, mem float64) *node {
 	for _, root := range c.idx.trees {
 		if n := root.firstFit(cpu, mem, sum, qmin, best, bestScore); n != nil {
 			best, bestScore = n, n.idxScore
-		}
-	}
-	return best
-}
-
-// bestWholeFitScan is the O(fleet) reference implementation: scan live
-// nodes in creation order for the most-requested node that fits.
-func (c *Cluster) bestWholeFitScan(cpu, mem float64) *node {
-	var best *node
-	var bestScore float64
-	for _, n := range c.nodes {
-		if !n.live {
-			continue
-		}
-		t := c.cat[n.typ]
-		if t.RelCPU-n.usedCPU >= cpu && t.RelMem-n.usedMem >= mem {
-			score := cloudsim.MostRequestedFraction(t, n.usedCPU, n.usedMem)
-			if best == nil || score > bestScore {
-				best, bestScore = n, score
-			}
 		}
 	}
 	return best
@@ -221,9 +165,7 @@ func (c *Cluster) tryPlaceSplit(i int) (placed, blocked bool) {
 			d.n.recompute()
 			c.touchNode(d.n)
 		}
-		if !c.cfg.Reference {
-			p.onNodes = p.onNodes[:0]
-		}
+		p.onNodes = p.onNodes[:0]
 	}
 	for _, ct := range ctrs {
 		fits := cloudsim.CheapestFitting(c.cat, ct.CPU, ct.Mem)

@@ -111,9 +111,8 @@ type Snapshot struct {
 	DeadLive  int
 	DirtyList []int32 // Hostlo dirty set, append order preserved
 
-	RefQueue []int32     // reference mode pending queue
-	PQ       []QueueSnap // indexed mode pending heap, raw array
-	EnqSeq   uint64
+	PQ     []QueueSnap // pending heap, raw array
+	EnqSeq uint64
 
 	BlockedPod int
 	BlockedVer uint64
@@ -175,6 +174,7 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 		Dirty:      c.dirty,
 		Started:    c.started,
 		Finalized:  c.finalized,
+		IdxVer:     c.idx.ver,
 		Res:        c.res,
 		TrajWin:    c.trajWin,
 		TTS:        c.tts.State(),
@@ -185,9 +185,6 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 	s.Cfg.Rec = nil
 	if c.cfg.Faults != nil {
 		s.FaultsSpec = c.cfg.Faults.String()
-	}
-	if !c.cfg.Reference {
-		s.IdxVer = c.idx.ver
 	}
 	// Deep copies of everything the parent keeps mutating.
 	s.Res.Samples = append([]Sample(nil), c.res.Samples...)
@@ -235,16 +232,9 @@ func (c *Cluster) Capture() (*Snapshot, error) {
 	for i, n := range c.dirtyList {
 		s.DirtyList[i] = int32(n.id)
 	}
-	if c.cfg.Reference {
-		s.RefQueue = make([]int32, len(c.queue))
-		for i, q := range c.queue {
-			s.RefQueue[i] = int32(q)
-		}
-	} else {
-		s.PQ = make([]QueueSnap, len(c.pq))
-		for i, e := range c.pq {
-			s.PQ[i] = QueueSnap{Key: e.key, Seq: e.seq, Idx: int32(e.idx)}
-		}
+	s.PQ = make([]QueueSnap, len(c.pq))
+	for i, e := range c.pq {
+		s.PQ[i] = QueueSnap{Key: e.key, Seq: e.seq, Idx: int32(e.idx)}
 	}
 	s.Events = make([]EventSnap, 0, len(c.ledger))
 	for _, ev := range c.ledger {
@@ -418,9 +408,7 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		}
 	}
 	c.liveCount = base.liveCount
-	if !cfg.Reference {
-		c.idx.ver = s.IdxVer
-	}
+	c.idx.ver = s.IdxVer
 	c.liveList = make([]*node, len(s.LiveList))
 	for i, nid := range s.LiveList {
 		c.liveList[i] = c.nodes[nid]
@@ -434,17 +422,10 @@ func Restore(s *Snapshot, o RestoreOpts) (*Cluster, error) {
 		}
 	}
 
-	// Pending queue (the captured representation matches cfg.Reference).
-	if cfg.Reference {
-		c.queue = make([]int, len(s.RefQueue))
-		for i, q := range s.RefQueue {
-			c.queue[i] = int(q)
-		}
-	} else {
-		c.pq = make(podQueue, len(s.PQ))
-		for i, e := range s.PQ {
-			c.pq[i] = podEntry{key: e.Key, seq: e.Seq, idx: int(e.Idx)}
-		}
+	// Pending queue.
+	c.pq = make(podQueue, len(s.PQ))
+	for i, e := range s.PQ {
+		c.pq[i] = podEntry{key: e.Key, seq: e.Seq, idx: int(e.Idx)}
 	}
 
 	// Replay the pending event set in ascending original-seq order:
@@ -614,11 +595,6 @@ func (s *Snapshot) validate(cfg Config) (liveCount int, err error) {
 	if s.BlockedPod < -1 || s.BlockedPod >= nPods {
 		return 0, fmt.Errorf("cluster: blocked pod %d out of range %d", s.BlockedPod, nPods)
 	}
-	for _, q := range s.RefQueue {
-		if q < 0 || int(q) >= nPods {
-			return 0, fmt.Errorf("cluster: queue entry names pod %d of %d", q, nPods)
-		}
-	}
 	for _, e := range s.PQ {
 		if e.Idx < 0 || int(e.Idx) >= nPods {
 			return 0, fmt.Errorf("cluster: heap entry names pod %d of %d", e.Idx, nPods)
@@ -772,7 +748,7 @@ func (c *Cluster) KillNodesNow(names []string) error {
 			c.killNode(n, now)
 		}
 	}
-	if c.queueLen() > 0 {
+	if len(c.pq) > 0 {
 		c.kickSchedule()
 	}
 	return nil

@@ -49,7 +49,7 @@ func (c *Cluster) NoteBeyondHorizon() { c.res.BeyondHorizon++ }
 
 // QueueLen is the current pending-queue depth — the shard runner's
 // load signal for choosing transfer destinations.
-func (c *Cluster) QueueLen() int { return c.queueLen() }
+func (c *Cluster) QueueLen() int { return len(c.pq) }
 
 // Horizon reports the normalized simulation horizon (defaults applied
 // by New). The shard runner's epoch loop needs the same horizon the
@@ -129,37 +129,22 @@ func (c *Cluster) endPod(i int, killed bool) {
 			c.count("cluster/trace_kills")
 		}
 		c.dirty = true
-		if c.queueLen() > 0 {
+		if len(c.pq) > 0 {
 			c.kickSchedule()
 		}
 	case statePending:
-		c.dequeue(i)
+		c.pq.removeIdx(i)
 		p.state = stateDeparted
 		c.res.Departed++
 		c.count("cluster/departures")
 		c.count("cluster/ended_pending")
 		// Removing a blocked head-of-line pod can unblock the rest.
-		if c.queueLen() > 0 {
+		if len(c.pq) > 0 {
 			c.kickSchedule()
 		}
 	default:
 		c.count("cluster/end_ignored")
 	}
-}
-
-// dequeue removes pod i's pending-queue entry (either representation).
-func (c *Cluster) dequeue(i int) {
-	if c.cfg.Reference {
-		kept := c.queue[:0]
-		for _, q := range c.queue {
-			if q != i {
-				kept = append(kept, q)
-			}
-		}
-		c.queue = kept
-		return
-	}
-	c.pq.removeIdx(i)
 }
 
 // Advance runs the world to t (inclusive), then parks the clock there.
@@ -173,9 +158,9 @@ func (c *Cluster) Finish() Result {
 }
 
 // Activate points a shared telemetry recorder at this world — run
-// label and engine binding — before an Advance. The shard runner calls
-// it per epoch when a recorder forces serial execution; without a
-// recorder it is a no-op.
+// label and engine binding — before it ingests events and advances. The
+// shard runner calls it for every world each epoch; without a recorder
+// it is a no-op.
 func (c *Cluster) Activate(label string) {
 	if c.rec == nil {
 		return
@@ -198,36 +183,26 @@ type Transfer struct {
 // barrier (engine parked); the shard runner is the only caller.
 func (c *Cluster) TransferOut(olderThan time.Duration) []Transfer {
 	now := c.eng.Now()
-	// The candidate scan reuses a scratch buffer and walks the queue
-	// representation directly: the common every-barrier outcome (nothing
-	// old enough) must not allocate.
+	// The candidate scan reuses a scratch buffer and walks the heap
+	// directly: the common every-barrier outcome (nothing old enough)
+	// must not allocate.
 	idxs := c.transferIdxs[:0]
-	consider := func(i int) {
-		p := &c.pods[i]
+	for _, e := range c.pq {
+		p := &c.pods[e.idx]
 		if p.state == statePending && now-p.waitSince >= sim.Time(olderThan) {
-			idxs = append(idxs, i)
-		}
-	}
-	if c.cfg.Reference {
-		for _, i := range c.queue {
-			consider(i)
-		}
-	} else {
-		for _, e := range c.pq {
-			consider(e.idx)
+			idxs = append(idxs, e.idx)
 		}
 	}
 	c.transferIdxs = idxs
 	if len(idxs) == 0 {
 		return nil
 	}
-	// Admission order — deterministic and identical across indexed and
-	// reference queue representations.
+	// Admission order: independent of the heap's internal layout.
 	sort.Ints(idxs)
 	out := make([]Transfer, 0, len(idxs))
 	for _, i := range idxs {
 		p := &c.pods[i]
-		c.dequeue(i)
+		c.pq.removeIdx(i)
 		p.state = stateTransferred
 		p.displaced = false
 		c.res.TransferredOut++
@@ -307,7 +282,7 @@ func (c *Cluster) Digest() uint64 {
 		mix(math.Float64bits(n.usedMem))
 		mix(uint64(len(n.items)))
 	}
-	mix(uint64(c.queueLen()))
+	mix(uint64(len(c.pq)))
 	mix(uint64(c.res.Arrived))
 	mix(uint64(c.res.Scheduled))
 	mix(uint64(c.res.Departed))

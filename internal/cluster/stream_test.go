@@ -83,49 +83,43 @@ func TestSimulateSourceMatchesPods(t *testing.T) {
 // testdata/reference_stream.golden as the linear-scan reference
 // produced them.
 func TestStreamLeakFree(t *testing.T) {
-	var lines []string
-	for _, ref := range []bool{false, true} {
-		rec := telemetry.New()
-		cfg := Config{
-			Policy:    Kubernetes,
-			Horizon:   2 * time.Hour,
-			BootDelay: 30 * time.Minute, // pods wait; ends hit pending pods
-			Rec:       rec,
-		}
-		cfg.Reference = ref
-		c := New(cfg)
-		c.Start()
-		evs := []ctrace.Event{
-			{Time: 1 * time.Minute, Kind: ctrace.Submit, Pod: "a", User: "u1",
-				Containers: []trace.Container{{CPU: 0.1, Mem: 0.1}}},
-			{Time: 2 * time.Minute, Kind: ctrace.Submit, Pod: "b", User: "u1",
-				Containers: []trace.Container{{CPU: 0.2, Mem: 0.2}}},
-			{Time: 5 * time.Minute, Kind: ctrace.Kill, Pod: "b", User: "u1"}, // still pending
-			{Time: 90 * time.Minute, Kind: ctrace.Finish, Pod: "a", User: "u1"},
-		}
-		for _, ev := range evs {
-			if err := c.FeedEvent(ev); err != nil {
-				t.Fatal(err)
-			}
-		}
-		c.Advance(sim.Time(cfg.Horizon))
-		res := c.Finish()
-		if leaks := c.Leaks(); len(leaks) > 0 {
-			t.Fatalf("reference=%v leaks: %v", ref, leaks)
-		}
-		if res.Arrived != 2 || res.Departed != 2 {
-			t.Fatalf("reference=%v result: %+v", ref, res)
-		}
-		var buf bytes.Buffer
-		if err := rec.WriteTextTrace(&buf); err != nil {
+	rec := telemetry.New()
+	cfg := Config{
+		Policy:    Kubernetes,
+		Horizon:   2 * time.Hour,
+		BootDelay: 30 * time.Minute, // pods wait; ends hit pending pods
+		Rec:       rec,
+	}
+	c := New(cfg)
+	c.Start()
+	evs := []ctrace.Event{
+		{Time: 1 * time.Minute, Kind: ctrace.Submit, Pod: "a", User: "u1",
+			Containers: []trace.Container{{CPU: 0.1, Mem: 0.1}}},
+		{Time: 2 * time.Minute, Kind: ctrace.Submit, Pod: "b", User: "u1",
+			Containers: []trace.Container{{CPU: 0.2, Mem: 0.2}}},
+		{Time: 5 * time.Minute, Kind: ctrace.Kill, Pod: "b", User: "u1"}, // still pending
+		{Time: 90 * time.Minute, Kind: ctrace.Finish, Pod: "a", User: "u1"},
+	}
+	for _, ev := range evs {
+		if err := c.FeedEvent(ev); err != nil {
 			t.Fatal(err)
 		}
-		lines = append(lines, fmt.Sprintf("stream result=%s trace=%s", golden.Digest(t, res), golden.SHA256(buf.String())))
 	}
-	if lines[0] != lines[1] {
-		t.Fatalf("indexed and reference runs diverged:\n%s\n%s", lines[0], lines[1])
+	c.Advance(sim.Time(cfg.Horizon))
+	res := c.Finish()
+	if leaks := c.Leaks(); len(leaks) > 0 {
+		t.Fatalf("leaks: %v", leaks)
 	}
-	golden.Check(t, "testdata/reference_stream.golden", lines[1:])
+	if res.Arrived != 2 || res.Departed != 2 {
+		t.Fatalf("result: %+v", res)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteTextTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	golden.Check(t, "testdata/reference_stream.golden", []string{
+		fmt.Sprintf("stream result=%s trace=%s", golden.Digest(t, res), golden.SHA256(buf.String())),
+	})
 }
 
 // TestStreamFeedValidation exercises the feed-order and duplicate

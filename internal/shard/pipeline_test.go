@@ -43,36 +43,26 @@ func migratorConfig() Config {
 }
 
 // TestPipelineEquivalence is the pipelining gate: the overlapped feed
-// must be byte-identical to the strict feed-then-advance reference at
-// every shard count, for both migration policies, on a workload where
+// must be byte-identical to the strict feed-then-advance loop at every
+// shard count, for both migration policies, on a workload where
 // prefetched mailboxes really do get re-routed after migration
 // barriers. testdata/pipeline.golden pins the SHA-256 of each cell's
-// Result JSON as the strict feed-then-advance loop produced it.
+// Result JSON as the strict loop produced it, before the pipelined
+// loop became the only one.
 func TestPipelineEquivalence(t *testing.T) {
 	users := migratorUsers(5)
 	var lines []string
 	for _, policy := range []string{"least-loaded", "locality"} {
 		cfg := migratorConfig()
 		cfg.MigratePolicy = policy
-		cfg.SerialFeed = true
-		cfg.Shards = 1
-		want, err := Replay(ctrace.NewSynth(users), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.Migrations == 0 {
-			t.Fatalf("policy %s: scenario no longer migrates", policy)
-		}
-		cfg.SerialFeed = false
 		for _, shards := range []int{1, 2, 4, 8} {
 			cfg.Shards = shards
 			got, err := Replay(ctrace.NewSynth(users), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("policy %s: pipelined -shards %d diverged from the serial feed\n got %+v\nwant %+v",
-					policy, shards, got.Merged, want.Merged)
+			if got.Migrations == 0 {
+				t.Fatalf("policy %s: scenario no longer migrates", policy)
 			}
 			lines = append(lines, fmt.Sprintf("%s/shards%d result=%s", policy, shards, golden.Digest(t, got)))
 		}

@@ -18,16 +18,18 @@
 // experiment. The equivalence suite pins this bit for bit, fault
 // schedules included.
 //
-// By default the feed of epoch N+1 is pipelined with the advance of
-// epoch N: events are prefetched into per-world mailboxes (double-
-// buffered, reused across epochs) on the main goroutine while the
-// worlds execute the previous epoch in parallel. Each mailbox entry
-// carries the trace read sequence, and a barrier's migration decisions
-// re-route the already-prefetched mailboxes by a seq-ordered merge, so
-// every world ingests exactly the serial feed order restricted to it —
-// the pipelining is a wall-clock optimisation under the same
-// byte-identity contract as Shards (Config.SerialFeed pins the
-// reference path).
+// There is one epoch loop, and it pipelines the feed of epoch N+1 with
+// the advance of epoch N: events are prefetched into per-world
+// mailboxes (double-buffered, reused across epochs) on the main
+// goroutine while the worlds execute the previous epoch. Each mailbox
+// entry carries the trace read sequence, and a barrier's migration
+// decisions re-route the already-prefetched mailboxes by a seq-ordered
+// merge, so every world ingests exactly the strict feed-then-advance
+// order restricted to it — the pipelining is a wall-clock optimisation
+// under the same byte-identity contract as Shards. A telemetry
+// recorder runs through the same loop at one shard: each world points
+// the shared recorder at itself before it ingests its mailbox and
+// advances, so the worlds lay out on one timeline in index order.
 package shard
 
 import (
@@ -73,12 +75,6 @@ type Config struct {
 	// least-loaded). Applied serially in index order at the barrier, so
 	// any policy keeps the byte-identity contract across shard counts.
 	MigratePolicy string
-	// SerialFeed disables the pipelined feed: epochs run strictly
-	// feed-then-advance like the pre-pipelining runner. The zero value
-	// (pipelining on) is byte-identical to it — SerialFeed exists as
-	// the equivalence pin and for debugging. A telemetry recorder
-	// forces it (single shared timeline).
-	SerialFeed bool
 	// Cluster is the per-world template. Pods must be empty (the trace
 	// is the workload); world w runs with Seed + w*worldSeedStride.
 	Cluster cluster.Config
@@ -158,7 +154,7 @@ func pickPolicy(name string) (destPolicy, error) {
 // mailEvent is one prefetched trace event in a per-world mailbox. seq
 // is the global trace read sequence: re-routing a mailbox after a
 // migration barrier merges by seq, so each world's ingest order is
-// exactly the serial feed order restricted to that world.
+// exactly the strict feed order restricted to that world.
 type mailEvent struct {
 	ev  ctrace.Event
 	seq uint64
@@ -169,14 +165,14 @@ type replayer struct {
 	cfg     Config
 	pick    destPolicy
 	worlds  []*cluster.Cluster
+	labels  []string // per-world telemetry run labels
 	horizon sim.Time
 	epoch   sim.Time
 	res     Result
 
 	// moved routes a migrated pod's later end events to the world that
 	// now owns it, overriding the hash partition. delta is the single
-	// barrier's slice of it, used to re-route prefetched mailboxes
-	// (nil in serial-feed mode).
+	// barrier's slice of it, used to re-route prefetched mailboxes.
 	moved map[string]int
 	delta map[string]int
 
@@ -208,29 +204,24 @@ func Replay(src ctrace.Source, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	serialRec := cfg.Cluster.Rec != nil
-	if serialRec {
+	if cfg.Cluster.Rec != nil {
 		cfg.Shards = 1
-		cfg.SerialFeed = true
 	}
 
-	r := &replayer{cfg: cfg, pick: pick, src: src, moved: map[string]int{}}
+	r := &replayer{cfg: cfg, pick: pick, src: src, moved: map[string]int{}, delta: map[string]int{}}
 	r.worlds = make([]*cluster.Cluster, cfg.Worlds)
+	r.labels = make([]string, cfg.Worlds)
 	for w := range r.worlds {
 		wcfg := cfg.Cluster
 		wcfg.Seed = cfg.Cluster.Seed + int64(w)*worldSeedStride
 		r.worlds[w] = cluster.New(wcfg)
 		r.worlds[w].Start()
+		r.labels[w] = fmt.Sprintf("world-%d", w)
 	}
 	r.horizon = r.worlds[0].Horizon()
 	r.epoch = sim.Time(cfg.BarrierEvery)
 
-	if cfg.SerialFeed {
-		err = r.runSerial(serialRec)
-	} else {
-		err = r.runPipelined()
-	}
-	if err != nil {
+	if err := r.run(); err != nil {
 		return Result{}, err
 	}
 	if err := r.drainTail(); err != nil {
@@ -289,73 +280,24 @@ func (r *replayer) book(ev ctrace.Event) {
 	}
 }
 
-// runSerial is the reference epoch loop: feed everything up to the
-// barrier, then advance every world — strictly in that order. The
-// telemetry path (one shared timeline) requires it; SerialFeed pins it
-// for equivalence tests.
-func (r *replayer) runSerial(serialRec bool) error {
-	for t := sim.Time(0); t < r.horizon; {
-		end := t + r.epoch
-		if end > r.horizon {
-			end = r.horizon
-		}
-		// Feed phase: route every event up to the barrier. Engines are
-		// parked at t, so scheduling is cheap appends to their heaps.
-		for !r.eof {
-			ev, ok, err := r.next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if sim.Time(ev.Time) > end {
-				r.held, r.hasHeld = ev, true
-				break
-			}
-			r.book(ev)
-			if err := r.worlds[r.route(ev)].FeedEvent(ev); err != nil {
-				return err
-			}
-		}
-		// Advance phase: every world runs independently to the barrier.
-		if serialRec {
-			for w := range r.worlds {
-				r.worlds[w].Activate(fmt.Sprintf("world-%d", w))
-				r.worlds[w].Advance(end)
-			}
-		} else {
-			parallel.Run(r.cfg.Worlds, r.cfg.Shards, func(w int) {
-				r.worlds[w].Advance(end)
-			})
-		}
-		if err := r.barrier(end); err != nil {
-			return err
-		}
-		t = end
-	}
-	return nil
-}
-
-// runPipelined overlaps the serial feed of epoch N+1 with the parallel
-// advance of epoch N. Per-world mailboxes are double-buffered: the
+// run is the epoch loop. It overlaps the serial feed of epoch N+1 with
+// the advance of epoch N. Per-world mailboxes are double-buffered: the
 // worlds ingest and execute the current buffer on worker goroutines
 // while the main goroutine prefetches the next epoch from the trace.
 // After the barrier's migration drain, mailboxes already prefetched for
 // moved pods are re-routed by a seq-ordered merge, so every world still
-// ingests the serial feed order restricted to it.
-func (r *replayer) runPipelined() error {
+// ingests the strict feed-then-advance order restricted to it.
+func (r *replayer) run() error {
 	cur := make([][]mailEvent, r.cfg.Worlds)
 	next := make([][]mailEvent, r.cfg.Worlds)
 	errs := make([]error, r.cfg.Worlds)
-	r.delta = map[string]int{}
 
 	// The first epoch has no previous epoch to overlap with, so
 	// mailboxing it would buy nothing but the buffer copies — and on
 	// front-loaded traces (replays starting at t=0) epoch zero is the
-	// largest. Feed it directly, exactly as the serial loop would; the
-	// worlds are parked at 0 and no migration has happened yet, so the
-	// per-world event order is identical either way.
+	// largest. Feed it directly: the worlds are parked at 0 and no
+	// migration has happened yet, so the per-world event order is
+	// identical either way.
 	firstEnd := r.epoch
 	if firstEnd > r.horizon {
 		firstEnd = r.horizon
@@ -368,12 +310,14 @@ func (r *replayer) runPipelined() error {
 		if end > r.horizon {
 			end = r.horizon
 		}
-		// Advance phase on workers: each world ingests its mailbox (the
-		// engine is parked at t, exactly where the serial feed would
+		// Advance phase on workers: each world points a shared recorder
+		// at itself (a no-op without one), ingests its mailbox (the
+		// engine is parked at t, exactly where a strict feed would
 		// deliver these events) and runs to the barrier.
 		done := make(chan struct{})
 		go func() {
 			parallel.Run(r.cfg.Worlds, r.cfg.Shards, func(w int) {
+				r.worlds[w].Activate(r.labels[w])
 				for _, me := range cur[w] {
 					if err := r.worlds[w].FeedEvent(me.ev); err != nil {
 						errs[w] = err
@@ -469,7 +413,7 @@ func (r *replayer) prefetch(buf [][]mailEvent, end sim.Time) error {
 // reroute applies one barrier's migration delta to an already-
 // prefetched mailbox buffer: end events of pods that just moved leave
 // their old world's mailbox and merge into the new owner's by trace
-// seq, reproducing the order a serial feed would have delivered.
+// seq, reproducing the order a strict feed would have delivered.
 func reroute(buf [][]mailEvent, delta map[string]int) {
 	if len(delta) == 0 {
 		return
@@ -513,9 +457,7 @@ func (r *replayer) barrier(end sim.Time) error {
 	}
 	// Transfer phase: skipped at the final barrier — a pod injected at
 	// the horizon would never see a schedule pass.
-	if r.delta != nil {
-		clear(r.delta)
-	}
+	clear(r.delta)
 	if r.cfg.MigrateAfter > 0 && r.cfg.Worlds > 1 && end < r.horizon {
 		if err := r.drainTransfers(); err != nil {
 			return err
@@ -537,9 +479,7 @@ func (r *replayer) drainTransfers() error {
 				return err
 			}
 			r.moved[tr.Pod.ID] = dest
-			if r.delta != nil {
-				r.delta[tr.Pod.ID] = dest
-			}
+			r.delta[tr.Pod.ID] = dest
 			r.res.Migrations++
 		}
 	}

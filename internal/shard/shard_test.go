@@ -196,10 +196,11 @@ func TestMigrationEquivalence(t *testing.T) {
 }
 
 // TestTelemetryForcesSerial pins that a recorder yields one
-// deterministic timeline regardless of the requested shard count, and
-// that recording does not perturb the replay results.
-// testdata/telemetry.golden pins the Result and text-trace SHA-256s as
-// the strict feed-then-advance loop produced them.
+// deterministic timeline regardless of the requested shard count (it
+// forces one shard), and that recording does not perturb the replay
+// results. testdata/telemetry.golden pins the Result and text-trace
+// SHA-256s as the strict feed-then-advance loop produced them, before
+// the recorder moved onto the pipelined loop.
 func TestTelemetryForcesSerial(t *testing.T) {
 	src := synthSource(t, 17, 20)
 	base := Config{

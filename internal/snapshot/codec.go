@@ -39,7 +39,10 @@ const magic = "NLW1"
 // window (Snapshot.TrajWin).
 // v4 dropped Config.RepackWorkers: the incremental repack runs on the
 // caller's goroutine and has no worker count left to carry.
-const version = 4
+// v5 dropped the linear-scan scheduler switch, the full-pass pin and
+// the dirty-fraction threshold from the Config, and the sorted-slice
+// pending queue with them: a world has one scheduler and one queue.
+const version = 5
 
 // maxRandDraws bounds the RNG stream positions the codec will accept.
 // Restoring a stream position replays that many draws, so an unbounded
@@ -76,9 +79,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.dur(s.Cfg.ProvisionRetryEvery)
 	e.dur(s.Cfg.SampleEvery)
 	e.uvarint(s.Cfg.MaxSteps)
-	e.bool(s.Cfg.Reference)
-	e.bool(s.Cfg.FullRepack)
-	e.f64(s.Cfg.RepackDirtyFrac)
 	e.varint(int64(s.Cfg.PackCacheSize))
 	e.varint(int64(s.Cfg.SampleCap))
 	e.varint(int64(s.Cfg.Zones))
@@ -154,7 +154,6 @@ func Encode(s *cluster.Snapshot) ([]byte, error) {
 	e.i32s(s.DirtyList)
 
 	// Pending queue.
-	e.i32s(s.RefQueue)
 	e.uvarint(uint64(len(s.PQ)))
 	for _, q := range s.PQ {
 		e.f64(q.Key)
@@ -298,9 +297,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.Cfg.ProvisionRetryEvery = d.dur()
 	s.Cfg.SampleEvery = d.dur()
 	s.Cfg.MaxSteps = d.uvarint()
-	s.Cfg.Reference = d.bool()
-	s.Cfg.FullRepack = d.bool()
-	s.Cfg.RepackDirtyFrac = d.f64()
 	s.Cfg.PackCacheSize = int(d.varint())
 	s.Cfg.SampleCap = int(d.varint())
 	s.Cfg.Zones = int(d.varint())
@@ -393,7 +389,6 @@ func Decode(b []byte) (*cluster.Snapshot, error) {
 	s.DirtyList = d.i32s()
 
 	// Pending queue.
-	s.RefQueue = d.i32s()
 	for i, n := 0, d.count(3); i < n; i++ {
 		s.PQ = append(s.PQ, cluster.QueueSnap{Key: d.f64(), Seq: d.uvarint(), Idx: int32(d.varint())})
 	}

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,5 +119,20 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Decode(valid); err != nil {
 		t.Errorf("valid snapshot rejected: %v", err)
+	}
+}
+
+// TestDecodeRejectsV4: a stream from the previous format version, which
+// still carried the reference-scheduler and repack knobs, is refused by
+// the version check before any field is read.
+func TestDecodeRejectsV4(t *testing.T) {
+	v4 := fuzzSeedSnapshot(t)
+	if v4[4] != version {
+		t.Fatalf("version byte %d, want %d", v4[4], version)
+	}
+	v4[4] = 4
+	_, err := Decode(v4)
+	if err == nil || !strings.Contains(err.Error(), "format version 4, this build reads 5") {
+		t.Fatalf("Decode(v4) = %v, want the version error", err)
 	}
 }

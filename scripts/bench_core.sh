@@ -7,8 +7,9 @@
 # Custom metrics ride along with the built-in ones — notably the
 # cluster scheduler throughput (BenchmarkSchedulerThroughput, pods/s
 # per policy), the trace-scale lifecycle family
-# (BenchmarkLifecycleScale, 1k/10k/100k pods per policy and scheduler
-# mode), the sharded trace replay (BenchmarkTraceReplay, pods/s at
+# (BenchmarkLifecycleScale, 1k/10k/100k pods per policy; only the
+# indexed scheduler is left, so the LifecycleScale/1k gate compares
+# the indexed legs alone), the sharded trace replay (BenchmarkTraceReplay, pods/s at
 # 1/4/8 shards over a ~100k-pod stream), the world snapshot/fork
 # engine (BenchmarkSnapshotFork, forks/s for capture, codec round-trip
 # and restore-and-continue on a 200-user Hostlo world), and the cloud
