@@ -497,11 +497,10 @@ type Cluster struct {
 	odFallback int      // pending on-demand fallback credits (revocations)
 	zonePoints []string // "zone/<name>" per zone, precomputed
 
-	// Blocked-head memo: the pod index that last
-	// returned blocked from tryPlace and the capacity-index version it
-	// blocked at. While both still match and a request is in flight,
-	// schedulePass skips the provably identical retry (see the comment
-	// at the check).
+	// Blocked-head memo: the pod index that last returned blocked from
+	// tryPlace and the capacity-index version it blocked at. While both
+	// still match and a request is in flight, schedulePass skips the
+	// provably identical retry (see the comment at the check).
 	blockedPod int
 	blockedVer uint64
 	dirty      bool

@@ -25,9 +25,6 @@ import (
 // as the testdata/reference_*.golden files, recorded while both
 // implementations still ran and agreed. "Byte-identical placement" is
 // the whole contract of the indexed core; these tests are what pins it.
-// (Cells recorded with Hostlo pinned to full-fleet passes left with
-// that knob; full passes still run whenever the dirty fraction is
-// high, and every Hostlo cell below takes some.)
 
 // policyModes are the scheduling regimes the suite covers: the
 // Kubernetes baseline and Hostlo with the dirty-set incremental

@@ -33,8 +33,8 @@ func SHA256(s string) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(s)))
 }
 
-// Read returns the lines of the golden file at path.
-func Read(t testing.TB, path string) []string {
+// read returns the lines of the golden file at path.
+func read(t testing.TB, path string) []string {
 	t.Helper()
 	f, err := os.Open(path)
 	if err != nil {
@@ -57,7 +57,7 @@ func Read(t testing.TB, path string) []string {
 // differing line is reported under its cell name.
 func Check(t testing.TB, path string, got []string) {
 	t.Helper()
-	want := Read(t, path)
+	want := read(t, path)
 	for i := 0; i < len(got) || i < len(want); i++ {
 		switch {
 		case i >= len(want):

@@ -1,16 +1,14 @@
 package snapshot
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"strings"
 	"testing"
 	"time"
 
 	"nestless/internal/cloud"
 	"nestless/internal/cluster"
+	"nestless/internal/golden"
 )
 
 // goldenReplyFile pins the full reply of every golden branch query, one
@@ -102,28 +100,5 @@ func goldenReplyLines(t testing.TB) []string {
 // TestGoldenBranchReplies: every branch reply, and every base world's
 // digest, is byte-identical to the recorded one.
 func TestGoldenBranchReplies(t *testing.T) {
-	f, err := os.Open(goldenReplyFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	got := goldenReplyLines(t)
-	if len(got) != len(want) {
-		t.Fatalf("%d golden lines, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			name, _, _ := strings.Cut(want[i], " ")
-			t.Errorf("%s changed:\n got: %s\nwant: %s", name, got[i], want[i])
-		}
-	}
+	golden.Check(t, goldenReplyFile, goldenReplyLines(t))
 }
